@@ -17,17 +17,19 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .grammar import (
     END_MARKER,
     Bindings,
+    Var,
     rename_features,
     residue_signature,
     resolve_features,
     unify,
 )
-from .lalr import ACCEPT, REDUCE, SHIFT, Action, LalrTable, lookup_actions
+from .lalr import EMPTY_ROW, LalrTable
 
 
 @dataclass(frozen=True)
@@ -175,6 +177,15 @@ def parse_lattice(
     t0 = time.process_time()
     n = len(lattice)
     skeleton = tuple(skeleton) if skeleton else ()
+    rows = table.rows
+    featureless = {
+        index for index, spec in residues.items()
+        if not spec.mother.features and not any(d.features for d in spec.daughters)
+    }
+    # (production index, child residues) -> (mother, signature), or None when
+    # unification fails; only for variable-free residues, whose outcome
+    # depends on nothing else
+    residue_memo: dict = {}
     forest_nodes: dict = {}
     bundle_keys: set = set()
     root_bundles: list = []
@@ -210,19 +221,16 @@ def parse_lattice(
             def enqueue(node, edge):
                 """Queue reduce work for node, restricted to paths through
                 edge when edge is not None."""
-                for action in lookup_actions(table, node.state, label):
-                    if action.kind != REDUCE:
-                        continue
-                    arity = len(table.productions[action.arg].rhs)
+                for action, arity in rows.get((node.state, label), EMPTY_ROW)[0]:
                     if arity == 0 and edge is None:
-                        key = (id(node), action, None)
+                        key = (id(node), action.arg, None)
                     elif arity > 0 and edge is not None:
-                        key = (id(node), action, id(edge[0]), edge[1])
+                        key = (id(node), action.arg, id(edge[0]), edge[1])
                     else:
                         continue
                     if key not in seen_tasks:
                         seen_tasks.add(key)
-                        tasks.append((node, action, edge))
+                        tasks.append((node, action, arity, edge))
 
             for node in frontier.values():
                 enqueue(node, None)
@@ -234,9 +242,8 @@ def parse_lattice(
                     return ParseOutcome(
                         "timeout", None, "budget exhausted", time.process_time() - t0, n
                     )
-                node, action, first_edge = tasks.popleft()
+                node, action, arity, first_edge = tasks.popleft()
                 prod = table.productions[action.arg]
-                arity = len(prod.rhs)
                 for path_edges, bottom in _pop_paths(node, arity, first_edge):
                     span_start = bottom.position
                     if skeleton and _crosses(span_start, j, skeleton):
@@ -244,24 +251,25 @@ def parse_lattice(
                     goto = table.gotos.get((bottom.state, prod.lhs))
                     if goto is None:
                         continue
-                    children = tuple(fk for _, fk in reversed(path_edges))
-                    spec = residues[prod.index]
-                    bindings = Bindings()
-                    mapping: dict = {}
-                    ok = True
-                    for k, child_key in enumerate(children):
-                        child = forest_nodes[child_key]
-                        child_res = child.residue if isinstance(child, ForestNode) else ()
-                        spec_feats = rename_features(spec.daughters[k].features, mapping)
-                        if unify(spec_feats, rename_features(child_res), bindings) is None:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    mother = resolve_features(
-                        rename_features(spec.mother.features, mapping), bindings
-                    )
-                    sig = residue_signature(mother)
+                    children = tuple([fk for _, fk in reversed(path_edges)])
+                    if prod.index in featureless:
+                        mother = sig = ()
+                    else:
+                        child_res = tuple(
+                            child.residue if isinstance(child, ForestNode) else ()
+                            for child in map(forest_nodes.__getitem__, children)
+                        )
+                        memo_key = (prod.index, child_res)
+                        reduced = residue_memo.get(memo_key, False)
+                        if reduced is False:
+                            reduced = _unify_residue(residues[prod.index], child_res)
+                            if (reduced is None or not _has_var(reduced[0])) and not any(
+                                map(_has_var, child_res)
+                            ):
+                                residue_memo[memo_key] = reduced
+                        if reduced is None:
+                            continue
+                        mother, sig = reduced
                     # keyed by the GSS node beneath (serial), not merely its
                     # state: same-state nodes from different label closures
                     # have different continuations and must not be conflated
@@ -289,9 +297,7 @@ def parse_lattice(
 
             if j < n:
                 for node in list(frontier.values()) + list(local.values()):
-                    for action in lookup_actions(table, node.state, label):
-                        if action.kind != SHIFT:
-                            continue
+                    for action in rows.get((node.state, label), EMPTY_ROW)[1]:
                         leaf_key = ("t", j, label, node.state)
                         if leaf_key not in forest_nodes:
                             forest_nodes[leaf_key] = ForestLeaf(
@@ -305,17 +311,17 @@ def parse_lattice(
                         target.add_edge(node, leaf_key)
             else:
                 for node in list(frontier.values()) + list(local.values()):
-                    for action in lookup_actions(table, node.state, END_MARKER):
-                        if action.kind != ACCEPT:
-                            continue
-                        for target, fkey in node.edges:
-                            if target is initial and fkey[1] == start_symbol:
-                                bkey = (ROOT_KEY, -1, (fkey,))
-                                if bkey not in bundle_keys:
-                                    bundle_keys.add(bkey)
-                                    root_bundles.append(
-                                        Bundle(-1, (fkey,), (node.state, END_MARKER, action))
-                                    )
+                    action = rows.get((node.state, END_MARKER), EMPTY_ROW)[2]
+                    if action is None:
+                        continue
+                    for target, fkey in node.edges:
+                        if target is initial and fkey[1] == start_symbol:
+                            bkey = (ROOT_KEY, -1, (fkey,))
+                            if bkey not in bundle_keys:
+                                bundle_keys.add(bkey)
+                                root_bundles.append(
+                                    Bundle(-1, (fkey,), (node.state, END_MARKER, action))
+                                )
         if j < n and not next_frontier:
             return fail("no shift possible at token %d" % j)
         if j < n:
@@ -334,6 +340,23 @@ def parse_lattice(
         table.table_hash(),
     )
     return ParseOutcome("ok", forest, "", time.process_time() - t0, n)
+
+
+def _unify_residue(spec, child_residues):
+    """Unify a production's residue spec with its children's residues:
+    (mother residue, signature), or None on a clash."""
+    bindings = Bindings()
+    mapping: dict = {}
+    for daughter, child_res in zip(spec.daughters, child_residues):
+        spec_feats = rename_features(daughter.features, mapping)
+        if unify(spec_feats, rename_features(child_res), bindings) is None:
+            return None
+    mother = resolve_features(rename_features(spec.mother.features, mapping), bindings)
+    return mother, residue_signature(mother)
+
+
+def _has_var(features) -> bool:
+    return any(isinstance(v, Var) for _, v in features)
 
 
 def _pop_paths(node, arity, first_edge):
@@ -390,26 +413,34 @@ def constrained_parse(
 # forest consumers
 
 def count_parses(forest: ParseForest) -> int:
-    """Exact derivation count by sum-product over bundles (no unpacking)."""
-    memo: dict = {}
+    """Exact derivation count by sum-product over bundles (no unpacking).
 
-    def count(key) -> int:
-        if key in memo:
-            return memo[key]
-        node = forest.nodes[key]
-        if isinstance(node, ForestLeaf):
-            memo[key] = 1
-            return 1
-        total = 0
-        for b in node.bundles:
-            prod = 1
-            for ck in b.children:
-                prod *= count(ck)
-            total += prod
-        memo[key] = total
-        return total
-
-    return count(ROOT_KEY)
+    Depth-first with an explicit stack, so forest depth is not bounded by
+    the interpreter's recursion limit.  Each stack entry holds a node's
+    per-bundle child keys and an iterator over them that resumes where the
+    last descent left off.
+    """
+    nodes = forest.nodes
+    memo = {key: 1 for key, node in nodes.items() if isinstance(node, ForestLeaf)}
+    kids = [b.children for b in nodes[ROOT_KEY].bundles]
+    stack = [(ROOT_KEY, kids, chain.from_iterable(kids))]
+    while stack:
+        key, kids, pending = stack[-1]
+        for child_key in pending:
+            if child_key not in memo:
+                child_kids = [b.children for b in nodes[child_key].bundles]
+                stack.append((child_key, child_kids, chain.from_iterable(child_kids)))
+                break
+        else:
+            stack.pop()
+            total = 0
+            for children in kids:
+                product = 1
+                for child_key in children:
+                    product *= memo[child_key]
+                total += product
+            memo[key] = total
+    return memo[ROOT_KEY]
 
 
 def enumerate_derivations(forest: ParseForest, limit: Optional[int] = None):

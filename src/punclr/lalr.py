@@ -10,7 +10,7 @@ conflict is data, not an error.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .grammar import END_MARKER, CFBackbone, GrammarError, Production, nullable_symbols
 
@@ -32,6 +32,9 @@ class Action:
         return "acc"
 
 
+EMPTY_ROW = ((), (), None)
+
+
 @dataclass(frozen=True)
 class LalrTable:
     backbone_hash: str
@@ -40,18 +43,36 @@ class LalrTable:
     gotos: dict  # (state, nonterminal) -> state
     productions: tuple  # indexable by Action.arg for reduces
     start_state: int = 0
+    # (state, label) -> (((reduce Action, arity), ...), (shift Action, ...),
+    # accept Action or None), each in the iteration order of the action set,
+    # so the parser visits actions exactly as a scan of `actions` would
+    rows: dict = field(init=False, repr=False, compare=False)
+    _hash: str = field(default="", init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = {}
+        for key, acts in self.actions.items():
+            reduces = tuple(
+                (a, len(self.productions[a.arg].rhs)) for a in acts if a.kind == REDUCE
+            )
+            shifts = tuple(a for a in acts if a.kind == SHIFT)
+            accept = next((a for a in acts if a.kind == ACCEPT), None)
+            rows[key] = (reduces, shifts, accept)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def action_count(self) -> int:
         return sum(len(v) for v in self.actions.values())
 
     def table_hash(self) -> str:
-        text = "punclr-lalr v1 %s states=%d actions=%d" % (
-            self.backbone_hash,
-            self.n_states,
-            self.action_count,
-        )
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        if not self._hash:
+            text = "punclr-lalr v1 %s states=%d actions=%d" % (
+                self.backbone_hash,
+                self.n_states,
+                self.action_count,
+            )
+            object.__setattr__(self, "_hash", hashlib.sha256(text.encode()).hexdigest()[:16])
+        return self._hash
 
 
 def lookup_actions(table: LalrTable, state: int, lookahead: str) -> frozenset:

@@ -376,23 +376,51 @@ def save_counts(counts: TransitionCounts, path):
             )
 
 
+def _read_records(path, kind: str, fields: dict):
+    """Yield (record name, converted values) for each line after the
+    "punclr-<kind> v1" header; fields maps a record name to its value
+    converters.  Malformed lines raise ModelError with their line number."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "punclr-%s v1" % kind:
+            raise ModelError("not a punclr %s file: %r" % (kind, header))
+        for lineno, line in enumerate(fh, 2):
+            parts = line.split()
+            if not parts:
+                raise ModelError("line %d: blank line" % lineno)
+            converters = fields.get(parts[0])
+            if converters is None:
+                raise ModelError("line %d: unknown record %r" % (lineno, parts[0]))
+            if len(parts) != len(converters) + 1:
+                raise ModelError(
+                    "line %d: %s record needs %d fields, found %d"
+                    % (lineno, parts[0], len(converters), len(parts) - 1)
+                )
+            try:
+                values = [conv(x) for conv, x in zip(converters, parts[1:])]
+            except ValueError:
+                raise ModelError(
+                    "line %d: non-numeric field in %r" % (lineno, line.strip())
+                ) from None
+            yield parts[0], values
+
+
+_TRANSITION = (int, str, str, int, float)  # state, label, action kind, action arg, value
+
+
 def load_counts(path) -> TransitionCounts:
     counts: dict = {}
     table_hash = ""
     total = 0.0
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "punclr-counts v1":
-            raise ModelError("not a punclr counts file: %r" % header)
-        for line in fh:
-            parts = line.split()
-            if parts[0] == "table":
-                table_hash = parts[1]
-            elif parts[0] == "histories":
-                total = float(parts[1])
-            elif parts[0] == "count":
-                key = (int(parts[1]), _unesc(parts[2]), Action(parts[3], int(parts[4])))
-                counts[key] = float(parts[5])
+    fields = {"table": (str,), "histories": (float,), "count": _TRANSITION}
+    for record, values in _read_records(path, "counts", fields):
+        if record == "table":
+            (table_hash,) = values
+        elif record == "histories":
+            (total,) = values
+        else:
+            state, label, kind, arg, c = values
+            counts[(state, _unesc(label), Action(kind, arg))] = c
     return TransitionCounts(counts, table_hash, total)
 
 
@@ -414,19 +442,16 @@ def load_model(path) -> ProbModel:
     probs: dict = {}
     unseen: dict = {}
     table_hash = ""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "punclr-model v1":
-            raise ModelError("not a punclr model file: %r" % header)
-        for line in fh:
-            parts = line.split()
-            if parts[0] == "table":
-                table_hash = parts[1]
-            elif parts[0] == "unseen":
-                unseen[(int(parts[1]), _unesc(parts[2]))] = float(parts[3])
-            elif parts[0] == "prob":
-                key = (int(parts[1]), _unesc(parts[2]), Action(parts[3], int(parts[4])))
-                probs[key] = float(parts[5])
+    fields = {"table": (str,), "unseen": (int, str, float), "prob": _TRANSITION}
+    for record, values in _read_records(path, "model", fields):
+        if record == "table":
+            (table_hash,) = values
+        elif record == "unseen":
+            state, label, p = values
+            unseen[(state, _unesc(label))] = p
+        else:
+            state, label, kind, arg, p = values
+            probs[(state, _unesc(label), Action(kind, arg))] = p
     return ProbModel(probs, unseen, table_hash)
 
 

@@ -244,3 +244,20 @@ def test_tagged_example_parses_with_thresholding(capsys):
     lines = [l for l in out.splitlines()[1:]]
     statuses = [l.split("\t")[1] for l in lines]
     assert statuses == ["ok", "ok", "ok"]
+
+
+def test_rank_malformed_model_exits_2_with_line_number(capsys, tmp_path):
+    model = tmp_path / "toy.model"
+    run(
+        capsys, "train", "--grammar", FIXTURES / "catalan.gr",
+        "--treebank", FIXTURES / "catalan_train.tb", "--model-out", model,
+    )
+    lines = model.read_text().splitlines(keepends=True)
+    model.write_text("".join(lines[:2] + ["\n"] + lines[2:]))
+    sent = tmp_path / "s.txt"
+    sent.write_text("a|a:1.0 a|a:1.0\n")
+    code, out, err = run(
+        capsys, "rank", "--grammar", FIXTURES / "catalan.gr", "--model", model, sent,
+    )
+    assert code == 2
+    assert "line 3: blank line" in err

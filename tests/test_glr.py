@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from conftest import FIXTURES, compile_fixture
 from punclr.grammar import END_MARKER, compile_grammar, parse_grammar_file
 from punclr.lalr import ACCEPT, REDUCE, SHIFT, build_lalr, lookup_actions
 from punclr.glr import (
@@ -15,6 +18,7 @@ from punclr.glr import (
     lattice_from_labels,
     parse_lattice,
 )
+from punclr.lattice import read_tagged_file, to_lattice
 from oracles import enumerate_derivations as oracle_derivations
 
 CATALAN = "%start X\nX -> X X ;\nX -> 'a' ;\n"
@@ -304,3 +308,74 @@ def test_forest_invariant_all_unifications_succeeded():
     for node in outcome.forest.nodes.values():
         if hasattr(node, "bundles"):
             assert node.bundles
+
+
+def test_deep_chain_counts_without_recursion():
+    s = setup("%start S\nS -> S 'a' ;\nS -> 'a' ;\n")
+    outcome = parse_labels(s, ["a"] * 2000)
+    assert outcome.ok
+    assert count_parses(outcome.forest) == 1
+
+
+# Residues that keep an unbound variable: A's mother is never bound, so its
+# residue holds a Var and every reduction above it takes the general
+# unification path rather than the memo for variable-free residues.
+UNBOUND = (
+    "%start S\n"
+    "S -> A[f=?X] B[f=?X] ;\n"
+    "S -> S A[f=?X] ;\n"
+    "A[f=?X] -> A[f=?X] A[f=?X] ;\n"
+    "A[f=?X] -> 'a' ;\n"
+    "A[f=c] -> 'c' ;\n"
+    "B[f=b] -> 'b' ;\n"
+    "B[f=c] -> 'a' ;\n"
+)
+
+
+def test_unbound_variable_residues_match_oracle():
+    table, backbone, residues = setup(UNBOUND)
+    for labels in (["a", "b"], ["c", "b"], ["a", "a"], ["c", "a", "a", "c"],
+                   ["a", "b", "a", "c", "a"]):
+        outcome = parse_lattice(lattice_from_labels(labels), table, residues)
+        oracle = oracle_derivations(backbone, residues, [[l] for l in labels])
+        got = count_parses(outcome.forest) if outcome.ok else 0
+        assert got == len(oracle), (labels, got, len(oracle))
+
+
+# ---------------------------------------------------------------------------
+# forest pins: export_forest bytes and parse counts on every fixture grammar
+
+def _fixture_lattices(name):
+    return [to_lattice(tokens) for tokens in read_tagged_file(FIXTURES / name)]
+
+
+_AGREE_PAIRS = [[n, v] for n in ("NN1", "NN2") for v in ("VVZ", "VV0")]
+
+FOREST_PINS = {
+    "tagseq.gr": ("tagged_example.txt", "6f2e093f87a7829b"),
+    "integrated.gr": ("tagged_example.txt", "df7e9d740307a36c"),
+    "commatext.gr": ("comma_series.txt", "cd85bc2ea4aa6754"),
+    "catalan.gr": ("a^1..a^12", "7dc5cd45acbda299"),
+    "agree.gr": ("NN/VV pairs", "5af97538ac0a2127"),
+    "agree_relaxed.gr": ("NN/VV pairs", "9ce5643bbb7cc7da"),
+}
+
+
+@pytest.mark.parametrize("grammar", sorted(FOREST_PINS))
+def test_forest_export_pinned(grammar):
+    source, digest = FOREST_PINS[grammar]
+    if source.endswith(".txt"):
+        lattices = _fixture_lattices(source)
+    elif grammar == "catalan.gr":
+        lattices = [lattice_from_labels(["a"] * n) for n in range(1, 13)]
+    else:
+        lattices = [lattice_from_labels(pair) for pair in _AGREE_PAIRS]
+    _, _, residues, table = compile_fixture(grammar)
+    h = hashlib.sha256()
+    for lattice in lattices:
+        outcome = parse_lattice(lattice, table, residues)
+        h.update(outcome.status.encode())
+        if outcome.ok:
+            h.update(b"%d\n" % count_parses(outcome.forest))
+            h.update(export_forest(outcome.forest).encode())
+    assert h.hexdigest()[:16] == digest

@@ -343,3 +343,39 @@ def test_counts_and_model_round_trip(tmp_path):
     assert loaded.probs == model.probs
     assert loaded.unseen == model.unseen
     assert loaded.table_hash == model.table_hash
+
+
+def _saved_counts_and_model(tmp_path):
+    table, residues = setup_catalan()
+    histories, _ = branchy_histories(table, residues)
+    counts = train_counts(histories, table.table_hash())
+    cpath = tmp_path / "t.counts"
+    mpath = tmp_path / "t.model"
+    save_counts(counts, cpath)
+    save_model(smooth_good_turing(counts, table), mpath)
+    return cpath, mpath
+
+
+def _corrupt(path, lineno, replacement):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[lineno - 1] = replacement
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize(
+    "reader, replacement, message",
+    [
+        ("counts", "\n", "line 4: blank line"),
+        ("counts", "count 0 a\n", "line 4: count record needs 5 fields, found 2"),
+        ("counts", "count 0 a reduce x 1.0\n", "line 4: non-numeric field"),
+        ("model", "\n", "line 4: blank line"),
+        ("model", "prob 0\n", "line 4: prob record needs 5 fields, found 1"),
+        ("model", "unseen zero a 0.5\n", "line 4: non-numeric field"),
+    ],
+)
+def test_malformed_line_raises_model_error(tmp_path, reader, replacement, message):
+    cpath, mpath = _saved_counts_and_model(tmp_path)
+    path, load = (cpath, load_counts) if reader == "counts" else (mpath, load_model)
+    _corrupt(path, 4, replacement)
+    with pytest.raises(ModelError, match="^" + message):
+        load(path)
