@@ -16,12 +16,12 @@ from pathlib import Path
 
 from .evalmetrics import coverage_stats, extract_brackets, geig_report
 from .glr import (
-    SentenceLattice,
     constrained_parse,
     count_parses,
     derivation_to_tree,
     enumerate_derivations,
     export_forest,
+    lattice_from_labels,
     parse_lattice,
 )
 from .grammar import GrammarError, compile_grammar, load_grammar
@@ -37,7 +37,9 @@ from .model import (
     smooth_good_turing,
     train_counts,
 )
-from .trees import format_tree, internal_spans, read_treebank, tree_leaves
+from .trees import format_tree, read_treebank, tree_leaves
+
+MAX_HISTORIES = 5000
 
 
 class UsageError(Exception):
@@ -67,12 +69,7 @@ def read_lattices(path, plain, certainty, ratio):
     return out
 
 
-def lattice_from_leaves(leaves) -> SentenceLattice:
-    from .glr import Token
-
-    return SentenceLattice(
-        tuple(Token(leaf, i, ((leaf, 1.0),)) for i, leaf in enumerate(leaves))
-    )
+lattice_from_leaves = lattice_from_labels  # the name perfbench/tracing.py calls
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +187,30 @@ def _subsample(trees, spec, seed):
 
 
 def train_model_from_treebanks(artifacts, treebank_paths, weights, subsample=None,
-                               seed=0, max_histories=5000):
-    """Bracket-constrained training; returns (counts, model, report dict)."""
-    grammar, backbone, residues, table = artifacts
+                               seed=0, max_histories=MAX_HISTORIES):
+    """Read (and subsample) weighted treebanks, then train_from_trees;
+    returns (counts, model, report dict)."""
     trees = []
     for path, weight in zip(treebank_paths, weights):
         for _, tree in read_treebank(path):
             trees.append((tree, weight))
-    trees = _subsample(trees, subsample, seed)
+    return train_from_trees(artifacts, _subsample(trees, subsample, seed), max_histories)
+
+
+def train_from_trees(artifacts, weighted_trees, max_histories=MAX_HISTORIES):
+    """Bracket-constrained training from (tree, weight) pairs; returns
+    (counts, model, report dict).  A tree with more than max_histories
+    consistent derivations is counted and skipped before any is enumerated."""
+    grammar, backbone, residues, table = artifacts
     histories = []
     history_weights = []
     used = 0
     inconsistent = 0
     unparseable = 0
     capped = 0
-    for tree, weight in trees:
-        lattice = lattice_from_leaves(tree_leaves(tree))
-        skeleton = [s for s in internal_spans(tree) if s[1] - s[0] >= 2]
-        outcome = constrained_parse(lattice, table, residues, skeleton)
+    for tree, weight in weighted_trees:
+        lattice = lattice_from_labels(tree_leaves(tree))
+        outcome = constrained_parse(lattice, table, residues, extract_brackets(tree).spans)
         if not outcome.ok:
             plain = parse_lattice(lattice, table, residues)
             if plain.ok:
@@ -215,17 +218,17 @@ def train_model_from_treebanks(artifacts, treebank_paths, weights, subsample=Non
             else:
                 unparseable += 1
             continue
-        hs, ws = extract_histories(outcome.forest)
-        if len(hs) > max_histories:
+        if count_parses(outcome.forest) > max_histories:
             capped += 1
             continue
+        hs, ws = extract_histories(outcome.forest)
         used += 1
         histories.extend(hs)
         history_weights.extend(w * weight for w in ws)
     counts = train_counts(histories, table.table_hash(), history_weights)
     model = smooth_good_turing(counts, table)
     report = {
-        "trees": len(trees),
+        "trees": len(weighted_trees),
         "used": used,
         "histories": len(histories),
         "skeleton_inconsistent": inconsistent,
@@ -298,9 +301,8 @@ def cmd_rank(args):
             outcome.forest, model, args.nbest,
             include_tag_likelihoods=args.tag_likelihoods,
         )
-        words = lat.words()
         for analysis in ranked:
-            rendered = format_tree(_with_words(analysis.tree, words))
+            rendered = format_tree(analysis.tree)
             if args.format == "tsv":
                 print("%d\t%d\t%r\t%s" % (i, analysis.rank, analysis.log_prob, rendered))
             else:
@@ -314,6 +316,8 @@ def cmd_rank(args):
 
 
 def _with_words(tree, words):
+    """tree with each leaf's word taken from words; derivation_to_tree
+    already puts the lattice words there (perfbench/tracing.py calls this)."""
     from .glr import Tree
 
     if tree.is_leaf():
@@ -343,7 +347,7 @@ def evaluate_against_gold(artifacts, gold_trees, model=None, rng=None, timeout=N
     pairs = []
     failed = 0
     for tree in gold_trees:
-        lattice = lattice_from_leaves(tree_leaves(tree))
+        lattice = lattice_from_labels(tree_leaves(tree))
         outcome = parse_lattice(lattice, table, residues, budget=timeout)
         if not outcome.ok:
             failed += 1
@@ -427,7 +431,7 @@ def ablation_curve(artifacts, train_trees, gold_trees, seeds=5, base_seed=0,
                     if size < len(train_trees)
                     else list(train_trees)
                 )
-                counts, model, _ = _train_plain(artifacts, sample)
+                _, model, _ = train_from_trees(artifacts, [(t, 1.0) for t in sample])
                 report, _ = evaluate_against_gold(artifacts, gold_trees, model)
             recalls.append(report.recall)
             precisions.append(report.precision)
@@ -435,23 +439,6 @@ def ablation_curve(artifacts, train_trees, gold_trees, seeds=5, base_seed=0,
             (size, sum(recalls) / len(recalls), sum(precisions) / len(precisions))
         )
     return rows
-
-
-def _train_plain(artifacts, trees):
-    grammar, backbone, residues, table = artifacts
-    histories = []
-    weights = []
-    for tree in trees:
-        lattice = lattice_from_leaves(tree_leaves(tree))
-        skeleton = [s for s in internal_spans(tree) if s[1] - s[0] >= 2]
-        outcome = constrained_parse(lattice, table, residues, skeleton)
-        if not outcome.ok:
-            continue
-        hs, ws = extract_histories(outcome.forest)
-        histories.extend(hs)
-        weights.extend(ws)
-    counts = train_counts(histories, table.table_hash(), weights)
-    return counts, smooth_good_turing(counts, table), None
 
 
 def cmd_ablate(args):
@@ -516,7 +503,7 @@ def build_arg_parser():
     p.add_argument("--counts-out")
     p.add_argument("--subsample", help="fraction of trees, e.g. 1/64")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-histories", type=int, default=5000)
+    p.add_argument("--max-histories", type=int, default=MAX_HISTORIES)
     common_io(p)
     p.set_defaults(func=cmd_train)
 

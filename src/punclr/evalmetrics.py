@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .glr import Tree
+from .trees import internal_spans
 
 
 @dataclass(frozen=True)
@@ -32,17 +33,7 @@ class BracketSet:
 
 def extract_brackets(tree: Tree) -> BracketSet:
     """One span per internal node of length >= 2; labels discarded."""
-    spans = []
-
-    def walk(t):
-        if t.is_leaf():
-            return
-        if t.end - t.start >= 2:
-            spans.append((t.start, t.end))
-        for c in t.children:
-            walk(c)
-
-    walk(tree)
+    spans = [(start, end) for start, end in internal_spans(tree) if end - start >= 2]
     return BracketSet(tree.end - tree.start, tuple(spans))
 
 

@@ -109,6 +109,13 @@ ROOT_KEY = ("root",)
 
 @dataclass
 class ParseForest:
+    """A packed forest of root-spanning analyses.
+
+    nodes holds only nodes reachable from the root, in children-first order:
+    every node comes after all of its bundles' children and the root comes
+    last, so a forest pass is one loop over nodes.values().
+    """
+
     nodes: dict
     n_tokens: int
     start_symbol: str
@@ -330,14 +337,9 @@ def parse_lattice(
     if not root_bundles:
         return fail("no analysis spans the sentence")
 
-    root = ForestNode(ROOT_KEY, "$root", 0, n, (), root_bundles)
-    forest_nodes[ROOT_KEY] = root
-    reachable = _reachable_nodes(forest_nodes)
+    forest_nodes[ROOT_KEY] = ForestNode(ROOT_KEY, "$root", 0, n, (), root_bundles)
     forest = ParseForest(
-        {k: v for k, v in forest_nodes.items() if k in reachable},
-        n,
-        start_symbol,
-        table.table_hash(),
+        _children_first(forest_nodes), n, start_symbol, table.table_hash()
     )
     return ParseOutcome("ok", forest, "", time.process_time() - t0, n)
 
@@ -382,19 +384,27 @@ def _pop_paths(node, arity, first_edge):
     return out
 
 
-def _reachable_nodes(forest_nodes):
-    seen = {ROOT_KEY}
-    work = [ROOT_KEY]
-    while work:
-        key = work.pop()
-        node = forest_nodes[key]
-        if isinstance(node, ForestNode):
-            for b in node.bundles:
-                for ck in b.children:
-                    if ck not in seen:
-                        seen.add(ck)
-                        work.append(ck)
-    return seen
+def _children_first(forest_nodes):
+    """The nodes reachable from the root, in post-order: depth-first with
+    an explicit stack of (key, iterator over its child keys)."""
+    order = {}
+    stack = [(ROOT_KEY, _child_keys(forest_nodes[ROOT_KEY]))]
+    while stack:
+        key, pending = stack[-1]
+        for child_key in pending:
+            if child_key not in order:
+                stack.append((child_key, _child_keys(forest_nodes[child_key])))
+                break
+        else:
+            stack.pop()
+            order[key] = forest_nodes[key]
+    return order
+
+
+def _child_keys(node):
+    if isinstance(node, ForestLeaf):
+        return iter(())
+    return chain.from_iterable(b.children for b in node.bundles)
 
 
 def constrained_parse(
@@ -413,89 +423,70 @@ def constrained_parse(
 # forest consumers
 
 def count_parses(forest: ParseForest) -> int:
-    """Exact derivation count by sum-product over bundles (no unpacking).
-
-    Depth-first with an explicit stack, so forest depth is not bounded by
-    the interpreter's recursion limit.  Each stack entry holds a node's
-    per-bundle child keys and an iterator over them that resumes where the
-    last descent left off.
-    """
-    nodes = forest.nodes
-    memo = {key: 1 for key, node in nodes.items() if isinstance(node, ForestLeaf)}
-    kids = [b.children for b in nodes[ROOT_KEY].bundles]
-    stack = [(ROOT_KEY, kids, chain.from_iterable(kids))]
-    while stack:
-        key, kids, pending = stack[-1]
-        for child_key in pending:
-            if child_key not in memo:
-                child_kids = [b.children for b in nodes[child_key].bundles]
-                stack.append((child_key, child_kids, chain.from_iterable(child_kids)))
-                break
-        else:
-            stack.pop()
-            total = 0
-            for children in kids:
-                product = 1
-                for child_key in children:
-                    product *= memo[child_key]
-                total += product
-            memo[key] = total
-    return memo[ROOT_KEY]
+    """Exact derivation count: an inside sum-product over bundles, in exact
+    integers, one loop over the children-first node order."""
+    counts: dict = {}
+    for key, node in forest.nodes.items():
+        if isinstance(node, ForestLeaf):
+            counts[key] = 1
+            continue
+        total = 0
+        for b in node.bundles:
+            product = 1
+            for child_key in b.children:
+                product *= counts[child_key]
+            total += product
+        counts[key] = total
+    return counts[ROOT_KEY]
 
 
-def enumerate_derivations(forest: ParseForest, limit: Optional[int] = None):
-    """All derivations as nested (key, bundle index, children) tuples.
+def enumerate_derivations(forest: ParseForest):
+    """All derivations as nested (key, bundle index, children) tuples, per
+    node bundle by bundle and, within a bundle, in the product order of the
+    children's lists.
 
     Exponential in general; meant for small sentences and tests.
     """
     memo: dict = {}
-
-    def expand(key):
-        if key in memo:
-            return memo[key]
-        node = forest.nodes[key]
+    for key, node in forest.nodes.items():
         if isinstance(node, ForestLeaf):
-            result = [(key, None, ())]
-        else:
-            result = []
-            for bi, b in enumerate(node.bundles):
-                child_lists = [expand(ck) for ck in b.children]
-                for combo in _product(child_lists):
-                    result.append((key, bi, combo))
-        memo[key] = result
-        return result
-
-    out = expand(ROOT_KEY)
-    if limit is not None:
-        return out[:limit]
-    return out
+            memo[key] = [(key, None, ())]
+            continue
+        derivs = []
+        for bi, b in enumerate(node.bundles):
+            combos = [()]
+            for child_key in b.children:
+                combos = [acc + (d,) for acc in combos for d in memo[child_key]]
+            derivs.extend((key, bi, combo) for combo in combos)
+        memo[key] = derivs
+    return memo[ROOT_KEY]
 
 
-def _product(lists):
-    if not lists:
-        return [()]
-    out = [()]
-    for lst in lists:
-        out = [acc + (item,) for acc in out for item in lst]
-    return out
+def walk_derivation(deriv):
+    """Iterative enter/leave traversal of a derivation: yields (True, d) on
+    entering and (False, d) on leaving every subderivation d, children left
+    to right, so no walk is bounded by the interpreter's recursion limit."""
+    stack = [(False, deriv), (True, deriv)]
+    while stack:
+        entering, d = stack.pop()
+        yield entering, d
+        if entering:
+            for child in reversed(d[2]):
+                stack.append((False, child))
+                stack.append((True, child))
 
 
 def derivation_transitions(forest: ParseForest, deriv):
     """The LR run of one derivation: post-order over the tree gives the
     exact (state, lookahead, action) sequence the parser traversed."""
     out = []
-
-    def walk(d):
-        key, bi, children = d
-        node = forest.nodes[key]
-        for c in children:
-            walk(c)
-        if isinstance(node, ForestLeaf):
-            out.append(node.transition)
-        else:
-            out.append(node.bundles[bi].transition)
-
-    walk(deriv)
+    for entering, (key, bi, _) in walk_derivation(deriv):
+        if not entering:
+            node = forest.nodes[key]
+            if isinstance(node, ForestLeaf):
+                out.append(node.transition)
+            else:
+                out.append(node.bundles[bi].transition)
     return out
 
 
@@ -503,18 +494,13 @@ def derivation_signature(forest: ParseForest, deriv):
     """Preorder sequence of production ids and leaf labels; unique per
     derivation and totally ordered, used for deterministic tie-breaking."""
     out = []
-
-    def walk(d):
-        key, bi, children = d
-        node = forest.nodes[key]
-        if isinstance(node, ForestLeaf):
-            out.append(("t", node.label))
-        else:
-            out.append(("p", node.bundles[bi].production))
-            for c in children:
-                walk(c)
-
-    walk(deriv)
+    for entering, (key, bi, _) in walk_derivation(deriv):
+        if entering:
+            node = forest.nodes[key]
+            if isinstance(node, ForestLeaf):
+                out.append(("t", node.label))
+            else:
+                out.append(("p", node.bundles[bi].production))
     return tuple(out)
 
 
@@ -529,11 +515,6 @@ class Tree:
     def is_leaf(self):
         return not self.children
 
-    def pretty(self) -> str:
-        if self.is_leaf():
-            return self.word or self.label
-        return "(%s %s)" % (self.label, " ".join(c.pretty() for c in self.children))
-
 
 def is_iteration_symbol(symbol: str) -> bool:
     """Auxiliary symbols minted by Kleene expansion carry a '*', which user
@@ -544,20 +525,26 @@ def is_iteration_symbol(symbol: str) -> bool:
 def derivation_to_tree(forest: ParseForest, deriv) -> Tree:
     """Labelled tree for one derivation; Kleene iteration auxiliaries are
     spliced away so a starred daughter shows up as a flat sibling list."""
-    key, bi, children = deriv
-    node = forest.nodes[key]
-    if isinstance(node, ForestLeaf):
-        return Tree(node.label, (), node.start, node.end, node.word)
-    kids = []
-    for c in children:
-        sub = derivation_to_tree(forest, c)
-        if is_iteration_symbol(sub.label):
-            kids.extend(sub.children)
+    built = [[]]  # per open subderivation, the trees of its finished children
+    for entering, (key, _, _) in walk_derivation(deriv):
+        if entering:
+            built.append([])
+            continue
+        kids = []
+        for sub in built.pop():
+            if is_iteration_symbol(sub.label):
+                kids.extend(sub.children)
+            else:
+                kids.append(sub)
+        node = forest.nodes[key]
+        if isinstance(node, ForestLeaf):
+            tree = Tree(node.label, (), node.start, node.end, node.word)
+        elif key == ROOT_KEY:
+            tree = kids[0]
         else:
-            kids.append(sub)
-    if key == ROOT_KEY:
-        return kids[0]
-    return Tree(node.symbol, tuple(kids), node.start, node.end)
+            tree = Tree(node.symbol, tuple(kids), node.start, node.end)
+        built[-1].append(tree)
+    return built[0][0]
 
 
 def export_forest(forest: ParseForest) -> str:

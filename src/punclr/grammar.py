@@ -109,12 +109,6 @@ class Grammar:
     terminals: frozenset
     start: str
 
-    def mothers(self) -> set:
-        return {r.mother.name for r in self.rules}
-
-    def nonterminals(self) -> set:
-        return self.mothers()
-
 
 @dataclass(frozen=True)
 class Production:

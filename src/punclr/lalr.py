@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .grammar import END_MARKER, CFBackbone, GrammarError, Production, nullable_symbols
 
@@ -289,13 +290,13 @@ def dump_table(table: LalrTable, path):
         fh.write("backbone %s\n" % table.backbone_hash)
         fh.write("states %d\n" % table.n_states)
         for p in table.productions:
-            rhs = " ".join(_esc(s) for s in p.rhs)
-            fh.write("prod %d %s %s : %s\n" % (p.index, _esc(p.lhs), _esc(p.rule_id), rhs))
+            rhs = " ".join(esc(s) for s in p.rhs)
+            fh.write("prod %d %s %s : %s\n" % (p.index, esc(p.lhs), esc(p.rule_id), rhs))
         for (state, label), acts in sorted(table.actions.items()):
             for a in sorted(acts):
-                fh.write("action %d %s %s %d\n" % (state, _esc(label), a.kind, a.arg))
+                fh.write("action %d %s %s %d\n" % (state, esc(label), a.kind, a.arg))
         for (state, sym), target in sorted(table.gotos.items()):
-            fh.write("goto %d %s %d\n" % (state, _esc(sym), target))
+            fh.write("goto %d %s %d\n" % (state, esc(sym), target))
 
 
 def load_table(path) -> LalrTable:
@@ -304,34 +305,74 @@ def load_table(path) -> LalrTable:
     productions: list = []
     backbone_hash = None
     n_states = 0
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "punclr-table v1":
-            raise ValueError("not a punclr table file: %r" % header)
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            if parts[0] == "backbone":
-                backbone_hash = parts[1]
-            elif parts[0] == "states":
-                n_states = int(parts[1])
-            elif parts[0] == "prod":
-                idx = int(parts[1])
-                lhs = _unesc(parts[2])
-                rule_id = _unesc(parts[3])
-                rhs = tuple(_unesc(x) for x in parts[5:] if x)
-                productions.append(Production(idx, lhs, rhs, rule_id))
-            elif parts[0] == "action":
-                state, label, kind, arg = int(parts[1]), _unesc(parts[2]), parts[3], int(parts[4])
-                key = (state, label)
-                actions[key] = actions.get(key, frozenset()) | {Action(kind, arg)}
-            elif parts[0] == "goto":
-                gotos[(int(parts[1]), _unesc(parts[2]))] = int(parts[3])
+    fields = {
+        "backbone": (str,),
+        "states": (int,),
+        "prod": (int, unesc, unesc, str, unesc, ...),  # index lhs rule-id ':' rhs
+        "action": (int, unesc, str, int),
+        "goto": (int, unesc, int),
+    }
+    for record, values in read_records(path, "table", fields):
+        if record == "backbone":
+            (backbone_hash,) = values
+        elif record == "states":
+            (n_states,) = values
+        elif record == "prod":
+            idx, lhs, rule_id, _, *rhs = values
+            productions.append(Production(idx, lhs, tuple(rhs), rule_id))
+        elif record == "action":
+            state, label, kind, arg = values
+            key = (state, label)
+            actions[key] = actions.get(key, frozenset()) | {Action(kind, arg)}
+        else:
+            state, sym, target = values
+            gotos[(state, sym)] = target
     return LalrTable(backbone_hash, n_states, actions, gotos, tuple(productions))
 
 
-def _esc(label: str) -> str:
+def read_records(path, kind: str, fields: dict, error=ValueError):
+    """Yield (record name, converted values) for each line after the
+    "punclr-<kind> v1" header of a table, counts or model file.
+
+    fields maps a record name to its value converters; converters ending in
+    ``...`` accept any number of further fields, converted by the converter
+    before the ``...``.  A bad header or a malformed line raises error, with
+    the line number.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "punclr-%s v1" % kind:
+            raise error("not a punclr %s file: %r" % (kind, header))
+        for lineno, line in enumerate(fh, 2):
+            parts = line.split()
+            if not parts:
+                raise error("line %d: blank line" % lineno)
+            converters = fields.get(parts[0])
+            if converters is None:
+                raise error("line %d: unknown record %r" % (lineno, parts[0]))
+            tail = converters[-2] if converters[-1] is ... else None
+            fixed = converters[:-2] if tail else converters
+            found = len(parts) - 1
+            if found < len(fixed) or (found > len(fixed) and not tail):
+                raise error(
+                    "line %d: %s record needs %s%d fields, found %d"
+                    % (lineno, parts[0], "at least " if tail else "", len(fixed), found)
+                )
+            try:
+                values = [
+                    conv(x) for conv, x in zip(chain(fixed, repeat(tail)), parts[1:])
+                ]
+            except ValueError:
+                raise error(
+                    "line %d: non-numeric field in %r" % (lineno, line.strip())
+                ) from None
+            yield parts[0], values
+
+
+def esc(label: str) -> str:
+    """A symbol or label as one whitespace-free field of an artifact line."""
     return label.replace("%", "%25").replace(" ", "%20")
 
 
-def _unesc(label: str) -> str:
+def unesc(label: str) -> str:
     return label.replace("%20", " ").replace("%25", "%")

@@ -16,18 +16,18 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .glr import (
     ForestLeaf,
     ParseForest,
     ROOT_KEY,
-    derivation_signature,
     derivation_to_tree,
     derivation_transitions,
     enumerate_derivations,
+    walk_derivation,
 )
-from .lalr import Action, LalrTable
+from .lalr import Action, LalrTable, esc, read_records, unesc
 
 
 class ModelError(Exception):
@@ -257,81 +257,86 @@ def rank_nbest(
             % (model.table_hash, forest.table_hash)
         )
 
-    def leaf_score(node) -> float:
-        s, l, a = node.transition
-        score = math.log(model.prob(s, l, a))
-        if include_tag_likelihoods:
-            score += math.log(node.likelihood)
-        return score
-
-    # lazy k-best lists per node: entries (score, signature, derivation)
+    # per node: the entries ranked so far as (score, signature, bundle
+    # index, child ranks, derivation), the candidate heap of the same tuples
+    # with the score negated, and the (bundle, ranks) pairs ever pushed
     lists: dict = {}
     heaps: dict = {}
     pushed: dict = {}
+    exhausted: set = set()  # nodes with no further entries
+    bundle_scores: dict = {}
 
-    def ensure(key):
-        if key in lists:
-            return
-        node = forest.nodes[key]
-        if isinstance(node, ForestLeaf):
-            deriv = (key, None, ())
-            lists[key] = [(leaf_score(node), (("t", node.label),), deriv)]
-            heaps[key] = []
-            pushed[key] = set()
-            return
-        lists[key] = []
-        heaps[key] = []
-        pushed[key] = set()
-        for bi, b in enumerate(node.bundles):
-            _push(key, node, bi, (0,) * len(b.children))
-
-    def _push(key, node, bi, ranks):
+    def push(key, bi, ranks):
         if (bi, ranks) in pushed[key]:
             return
         pushed[key].add((bi, ranks))
-        b = node.bundles[bi]
-        s, l, a = b.transition
-        score = math.log(model.prob(s, l, a))
+        b = forest.nodes[key].bundles[bi]
+        score = bundle_scores[key][bi]
         sig = [("p", b.production)]
         children = []
         for ck, r in zip(b.children, ranks):
-            entry = _get(ck, r)
-            if entry is None:
-                return
-            cs, csig, cd = entry
+            if r >= len(lists[ck]):
+                return  # that child is exhausted before rank r
+            cs, csig, _, _, cd = lists[ck][r]
             score += cs
             sig.extend(csig)
             children.append(cd)
         deriv = (key, bi, tuple(children))
         heapq.heappush(heaps[key], (-score, tuple(sig), bi, ranks, deriv))
 
-    def _get(key, rank):
-        ensure(key)
-        while len(lists[key]) <= rank and heaps[key]:
+    def pop(key):
+        if heaps[key]:
             negscore, sig, bi, ranks, deriv = heapq.heappop(heaps[key])
-            lists[key].append((-negscore, sig, deriv))
-            node = forest.nodes[key]
-            for ci in range(len(ranks)):
-                nxt = list(ranks)
-                nxt[ci] += 1
-                _push(key, node, bi, tuple(nxt))
-        return lists[key][rank] if rank < len(lists[key]) else None
+            lists[key].append((-negscore, sig, bi, ranks, deriv))
+        else:
+            exhausted.add(key)
 
+    # every node's best entry, children first
+    for key, node in forest.nodes.items():
+        if isinstance(node, ForestLeaf):
+            score = math.log(model.prob(*node.transition))
+            if include_tag_likelihoods:
+                score += math.log(node.likelihood)
+            lists[key] = [(score, (("t", node.label),), None, (), (key, None, ()))]
+            exhausted.add(key)
+            continue
+        lists[key] = []
+        heaps[key] = []
+        pushed[key] = set()
+        bundle_scores[key] = [math.log(model.prob(*b.transition)) for b in node.bundles]
+        for bi, b in enumerate(node.bundles):
+            push(key, bi, (0,) * len(b.children))
+        pop(key)
+
+    # later entries by Huang & Chiang's lazy next on an explicit stack of
+    # (node, rank wanted): a node's next entry is popped right after the
+    # successors of its last entry are pushed, and each successor may first
+    # need one more entry of a child
     want = max(n * 2 + 16, n)
-    candidates = []
-    for i in range(want):
-        entry = _get(ROOT_KEY, i)
-        if entry is None:
-            break
-        candidates.append(entry)
+    stack = [(ROOT_KEY, want - 1)]
+    while stack:
+        key, rank = stack[-1]
+        if rank < len(lists[key]) or key in exhausted:
+            stack.pop()
+            continue
+        _, _, bi, ranks, _ = lists[key][-1]
+        children = forest.nodes[key].bundles[bi].children
+        for ck, r in zip(children, ranks):
+            if r + 1 >= len(lists[ck]) and ck not in exhausted:
+                stack.append((ck, r + 1))
+                break
+        else:
+            for ci in range(len(ranks)):
+                push(key, bi, ranks[:ci] + (ranks[ci] + 1,) + ranks[ci + 1:])
+            pop(key)
+    candidates = lists[ROOT_KEY]
 
     rescored = []
-    for _, _, deriv in candidates:
-        transitions = derivation_transitions(forest, deriv)
-        score = score_derivation(transitions, model)
+    for _, sig, _, _, deriv in candidates:
+        score = score_derivation(derivation_transitions(forest, deriv), model)
         if include_tag_likelihoods:
             score += _leaf_likelihood_sum(forest, deriv)
-        rescored.append((score, derivation_signature(forest, deriv), deriv))
+        rescored.append((score, sig, deriv))
     rescored.sort(key=lambda e: (-e[0], e[1]))
 
     out = []
@@ -343,17 +348,26 @@ def rank_nbest(
 
 
 def _leaf_likelihood_sum(forest, deriv) -> float:
-    key, bi, children = deriv
-    node = forest.nodes[key]
-    if isinstance(node, ForestLeaf):
-        return math.log(node.likelihood)
-    return sum(_leaf_likelihood_sum(forest, c) for c in children)
+    """Sum of the log tag likelihoods on a derivation's leaves, each
+    subtree's sum added to its parent's."""
+    sums = [0]
+    for entering, (key, _, _) in walk_derivation(deriv):
+        node = forest.nodes[key]
+        if isinstance(node, ForestLeaf):
+            if not entering:
+                sums[-1] += math.log(node.likelihood)
+        elif entering:
+            sums.append(0)
+        else:
+            subtree = sums.pop()
+            sums[-1] += subtree
+    return sums[0]
 
 
-def extract_histories(forest: ParseForest, limit: Optional[int] = None):
+def extract_histories(forest: ParseForest):
     """Transition sequences of every derivation in a (small) forest, plus
     the per-history weight 1/m."""
-    derivs = enumerate_derivations(forest, limit)
+    derivs = enumerate_derivations(forest)
     histories = [derivation_transitions(forest, d) for d in derivs]
     m = len(histories)
     weights = [1.0 / m] * m if m else []
@@ -372,40 +386,11 @@ def save_counts(counts: TransitionCounts, path):
             counts.counts.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
         ):
             fh.write(
-                "count %d %s %s %d %r\n" % (state, _esc(label), action.kind, action.arg, c)
+                "count %d %s %s %d %r\n" % (state, esc(label), action.kind, action.arg, c)
             )
 
 
-def _read_records(path, kind: str, fields: dict):
-    """Yield (record name, converted values) for each line after the
-    "punclr-<kind> v1" header; fields maps a record name to its value
-    converters.  Malformed lines raise ModelError with their line number."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "punclr-%s v1" % kind:
-            raise ModelError("not a punclr %s file: %r" % (kind, header))
-        for lineno, line in enumerate(fh, 2):
-            parts = line.split()
-            if not parts:
-                raise ModelError("line %d: blank line" % lineno)
-            converters = fields.get(parts[0])
-            if converters is None:
-                raise ModelError("line %d: unknown record %r" % (lineno, parts[0]))
-            if len(parts) != len(converters) + 1:
-                raise ModelError(
-                    "line %d: %s record needs %d fields, found %d"
-                    % (lineno, parts[0], len(converters), len(parts) - 1)
-                )
-            try:
-                values = [conv(x) for conv, x in zip(converters, parts[1:])]
-            except ValueError:
-                raise ModelError(
-                    "line %d: non-numeric field in %r" % (lineno, line.strip())
-                ) from None
-            yield parts[0], values
-
-
-_TRANSITION = (int, str, str, int, float)  # state, label, action kind, action arg, value
+_TRANSITION = (int, unesc, str, int, float)  # state, label, action kind, action arg, value
 
 
 def load_counts(path) -> TransitionCounts:
@@ -413,14 +398,14 @@ def load_counts(path) -> TransitionCounts:
     table_hash = ""
     total = 0.0
     fields = {"table": (str,), "histories": (float,), "count": _TRANSITION}
-    for record, values in _read_records(path, "counts", fields):
+    for record, values in read_records(path, "counts", fields, ModelError):
         if record == "table":
             (table_hash,) = values
         elif record == "histories":
             (total,) = values
         else:
             state, label, kind, arg, c = values
-            counts[(state, _unesc(label), Action(kind, arg))] = c
+            counts[(state, label, Action(kind, arg))] = c
     return TransitionCounts(counts, table_hash, total)
 
 
@@ -429,12 +414,12 @@ def save_model(model: ProbModel, path):
         fh.write("punclr-model v1\n")
         fh.write("table %s\n" % model.table_hash)
         for (state, label), p in sorted(model.unseen.items()):
-            fh.write("unseen %d %s %r\n" % (state, _esc(label), p))
+            fh.write("unseen %d %s %r\n" % (state, esc(label), p))
         for (state, label, action), p in sorted(
             model.probs.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
         ):
             fh.write(
-                "prob %d %s %s %d %r\n" % (state, _esc(label), action.kind, action.arg, p)
+                "prob %d %s %s %d %r\n" % (state, esc(label), action.kind, action.arg, p)
             )
 
 
@@ -442,22 +427,15 @@ def load_model(path) -> ProbModel:
     probs: dict = {}
     unseen: dict = {}
     table_hash = ""
-    fields = {"table": (str,), "unseen": (int, str, float), "prob": _TRANSITION}
-    for record, values in _read_records(path, "model", fields):
+    fields = {"table": (str,), "unseen": (int, unesc, float), "prob": _TRANSITION}
+    for record, values in read_records(path, "model", fields, ModelError):
         if record == "table":
             (table_hash,) = values
         elif record == "unseen":
             state, label, p = values
-            unseen[(state, _unesc(label))] = p
+            unseen[(state, label)] = p
         else:
             state, label, kind, arg, p = values
-            probs[(state, _unesc(label), Action(kind, arg))] = p
+            probs[(state, label, Action(kind, arg))] = p
     return ProbModel(probs, unseen, table_hash)
 
-
-def _esc(label: str) -> str:
-    return label.replace("%", "%25").replace(" ", "%20")
-
-
-def _unesc(label: str) -> str:
-    return label.replace("%20", " ").replace("%25", "%")

@@ -18,39 +18,40 @@ def parse_tree_line(line: str, labelled: bool = True) -> Tree:
 
     In labelled mode an atom directly after '(' is the node label (a '('
     there means the label was omitted); in unlabelled (skeleton) mode every
-    atom is a leaf.
+    atom is a leaf.  Open constituents live on an explicit stack, so nesting
+    depth is not bounded by the interpreter's recursion limit.
     """
     tokens = line.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
+    if not tokens:
+        raise TreebankError("unexpected end of tree")
+    open_nodes = []  # (label, children so far) per unclosed '('
     leaf_index = 0
-
-    def parse():
-        nonlocal pos, leaf_index
-        if pos >= len(tokens):
-            raise TreebankError("unexpected end of tree")
-        tok = tokens[pos]
-        if tok == ")":
-            raise TreebankError("unexpected ')'")
-        if tok != "(":
-            pos += 1
-            leaf_index += 1
-            return Tree(tok, (), leaf_index - 1, leaf_index, tok)
-        pos += 1  # consume '('
-        label = ""
-        if labelled and pos < len(tokens) and tokens[pos] not in ("(", ")"):
-            label = tokens[pos]
-            pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(parse())
-        if pos >= len(tokens):
+    pos = 0
+    while True:
+        if pos == len(tokens):
             raise TreebankError("missing ')'")
-        pos += 1  # consume ')'
-        if not children:
-            raise TreebankError("empty constituent")
-        return Tree(label, tuple(children), children[0].start, children[-1].end)
-
-    tree = parse()
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            label = ""
+            if labelled and pos < len(tokens) and tokens[pos] not in ("(", ")"):
+                label = tokens[pos]
+                pos += 1
+            open_nodes.append((label, []))
+            continue
+        if tok == ")":
+            if not open_nodes:
+                raise TreebankError("unexpected ')'")
+            label, children = open_nodes.pop()
+            if not children:
+                raise TreebankError("empty constituent")
+            tree = Tree(label, tuple(children), children[0].start, children[-1].end)
+        else:
+            tree = Tree(tok, (), leaf_index, leaf_index + 1, tok)
+            leaf_index += 1
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(tree)
     if pos != len(tokens):
         raise TreebankError("trailing material after tree: %r" % tokens[pos:])
     return tree
@@ -69,41 +70,38 @@ def read_treebank(path, labelled: bool = True):
                 raise TreebankError("line %d: %s" % (lineno, exc)) from None
 
 
-def read_skeletons(path):
-    """Skeleton file: unlabelled bracketings, one sentence per line."""
-    return read_treebank(path, labelled=False)
+def preorder(tree: Tree):
+    """Every subtree, parents before children, left to right."""
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(t.children))
 
 
 def tree_leaves(tree: Tree):
-    if tree.is_leaf():
-        return [tree.word or tree.label]
-    out = []
-    for c in tree.children:
-        out.extend(tree_leaves(c))
-    return out
-
-
-def tree_length(tree: Tree) -> int:
-    return tree.end - tree.start
+    return [t.word or t.label for t in preorder(tree) if t.is_leaf()]
 
 
 def internal_spans(tree: Tree):
     """Spans of every internal node, root included, as a list (multiset)."""
-    out = []
-
-    def walk(t):
-        if t.is_leaf():
-            return
-        out.append((t.start, t.end))
-        for c in t.children:
-            walk(c)
-
-    walk(tree)
-    return out
+    return [(t.start, t.end) for t in preorder(tree) if not t.is_leaf()]
 
 
 def format_tree(tree: Tree) -> str:
-    if tree.is_leaf():
-        return tree.word or tree.label
-    inner = " ".join(format_tree(c) for c in tree.children)
-    return "(%s %s)" % (tree.label, inner) if tree.label else "(%s)" % inner
+    out = []
+    stack = [tree]  # subtrees still to print, and the text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_leaf():
+            out.append(item.word or item.label)
+        else:
+            out.append("(%s " % item.label if item.label else "(")
+            stack.append(")")
+            for i, child in enumerate(reversed(item.children)):
+                if i:
+                    stack.append(" ")
+                stack.append(child)
+    return "".join(out)

@@ -216,11 +216,11 @@ def test_criterion_3_ranking_oracle(compiled, catalan_model):
 def test_criterion_4_probability_simplex(compiled, catalan_model):
     models = [("catalan 3:1", compiled["catalan.gr"][3], catalan_model)]
     # a model trained from the tag-sequence gold treebank
-    from punclr.cli import _train_plain
+    from punclr.cli import train_from_trees
 
     tag_art = compiled["tagseq.gr"]
     trees = [t for _, t in read_treebank(FIXTURES / "tagseq_gold.tb")]
-    _, tag_model, _ = _train_plain(tag_art, trees)
+    _, tag_model, _ = train_from_trees(tag_art, [(t, 1.0) for t in trees])
     models.append(("tagseq gold", tag_art[3], tag_model))
     comma_table = compiled["commatext.gr"][3]
     models.append(

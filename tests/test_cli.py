@@ -261,3 +261,51 @@ def test_rank_malformed_model_exits_2_with_line_number(capsys, tmp_path):
     )
     assert code == 2
     assert "line 3: blank line" in err
+
+
+def test_parse_malformed_table_exits_2_with_line_number(capsys, tmp_path):
+    table = tmp_path / "catalan.tbl"
+    run(capsys, "compile", FIXTURES / "catalan.gr", "-o", table)
+    lines = table.read_text().splitlines(keepends=True)
+    table.write_text("".join(lines[:3] + ["action 1\n"] + lines[3:]))
+    sent = tmp_path / "s.txt"
+    sent.write_text("a|a:1.0 a|a:1.0\n")
+    code, out, err = run(
+        capsys, "parse", "--grammar", FIXTURES / "catalan.gr", "--table", table, sent,
+    )
+    assert code == 2
+    assert "line 4: action record needs 4 fields, found 1" in err
+
+
+def test_rank_deep_chain_exits_0(capsys, tmp_path):
+    grammar = tmp_path / "chain.gr"
+    grammar.write_text("%start S\nS -> S 'a' ;\nS -> 'a' ;\n")
+    treebank = tmp_path / "chain.tb"
+    treebank.write_text("(S a)\n(S (S a) a)\n(S (S (S a) a) a)\n")
+    model = tmp_path / "chain.model"
+    code, _, _ = run(capsys, "train", "--grammar", grammar, "--treebank", treebank,
+                     "--model-out", model)
+    assert code == 0
+    sent = tmp_path / "s.txt"
+    sent.write_text(" ".join(["a|a:1.0"] * 2000) + "\n")
+    code, out, err = run(capsys, "rank", "--grammar", grammar, "--model", model, sent,
+                         "--nbest", "3", "--format", "tsv")
+    assert code == 0, err
+    (row,) = out.splitlines()
+    assert row.startswith("0\t1\t") and row.endswith(" a)")
+
+
+def test_train_deep_left_branching_tree(capsys, tmp_path):
+    depth = 1199
+    treebank = tmp_path / "deep.tb"
+    treebank.write_text("(X " * depth + "a" + " a)" * depth + "\n")
+    code, out, err = run(
+        capsys, "train", "--grammar", FIXTURES / "catalan.gr", "--treebank", treebank,
+        "--model-out", tmp_path / "deep.model", "--format", "tsv",
+    )
+    assert code == 0, err
+    header, values = (line.split("\t") for line in out.splitlines())
+    report = dict(zip(header, values))
+    assert report["treebank trees"] == "1"
+    assert report["sentences used"] == "1"
+    assert report["histories extracted"] == "1"

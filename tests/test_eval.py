@@ -14,7 +14,13 @@ from punclr.evalmetrics import (
     geig_report,
 )
 from punclr.glr import Tree
-from punclr.trees import format_tree, internal_spans, parse_tree_line, tree_leaves
+from punclr.trees import (
+    TreebankError,
+    format_tree,
+    internal_spans,
+    parse_tree_line,
+    tree_leaves,
+)
 
 
 def leaf(label, i):
@@ -46,6 +52,19 @@ def test_parse_unlabelled_skeleton():
 def test_tree_round_trip():
     text = "(S (NP the dog) (VP barks))"
     assert format_tree(parse_tree_line(text)) == text
+
+
+def test_deep_tree_reads_walks_and_formats():
+    depth = 1200
+    text = "(X " * depth + "a" + " b)" * depth
+    t = parse_tree_line(text)
+    assert (t.start, t.end) == (0, depth + 1)
+    assert tree_leaves(t) == ["a"] + ["b"] * depth
+    assert internal_spans(t) == [(0, depth + 1 - i) for i in range(depth)]
+    assert len(extract_brackets(t).spans) == depth
+    assert format_tree(t) == text
+    with pytest.raises(TreebankError, match="missing"):
+        parse_tree_line(text[:-1])
 
 
 def test_single_leaf_constituent():

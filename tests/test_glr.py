@@ -6,6 +6,7 @@ from conftest import FIXTURES, compile_fixture
 from punclr.grammar import END_MARKER, compile_grammar, parse_grammar_file
 from punclr.lalr import ACCEPT, REDUCE, SHIFT, build_lalr, lookup_actions
 from punclr.glr import (
+    ROOT_KEY,
     SentenceLattice,
     Token,
     constrained_parse,
@@ -315,6 +316,25 @@ def test_deep_chain_counts_without_recursion():
     outcome = parse_labels(s, ["a"] * 2000)
     assert outcome.ok
     assert count_parses(outcome.forest) == 1
+
+
+@pytest.mark.parametrize("grammar", ["catalan.gr", "commatext.gr", "tagseq.gr"])
+def test_forest_nodes_children_first(grammar):
+    source = {"catalan.gr": None, "commatext.gr": "comma_series.txt",
+              "tagseq.gr": "tagged_example.txt"}[grammar]
+    if source is None:
+        lattices = [lattice_from_labels(["a"] * n) for n in range(1, 9)]
+    else:
+        lattices = _fixture_lattices(source)
+    _, _, residues, table = compile_fixture(grammar)
+    for lattice in lattices:
+        forest = parse_lattice(lattice, table, residues).forest
+        seen = set()
+        for key, node in forest.nodes.items():
+            for b in getattr(node, "bundles", ()):
+                assert all(c in seen for c in b.children)
+            seen.add(key)
+        assert key == ROOT_KEY
 
 
 # Residues that keep an unbound variable: A's mother is never bound, so its

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import pytest
 
+from conftest import FIXTURES, compile_fixture
+from punclr.cli import train_model_from_treebanks
 from punclr.grammar import compile_grammar, parse_grammar_file
-from punclr.lalr import build_lalr
+from punclr.lalr import build_lalr, dump_table, load_table
 from punclr.glr import (
     count_parses,
     derivation_signature,
@@ -29,6 +32,8 @@ from punclr.model import (
     smooth_good_turing,
     train_counts,
 )
+from punclr.lattice import read_tagged_file, to_lattice
+from punclr.trees import format_tree
 
 CATALAN = "%start X\nX -> X X ;\nX -> 'a' ;\n"
 
@@ -379,3 +384,99 @@ def test_malformed_line_raises_model_error(tmp_path, reader, replacement, messag
     _corrupt(path, 4, replacement)
     with pytest.raises(ModelError, match="^" + message):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "replacement, message",
+    [
+        ("\n", "line 4: blank line"),
+        ("action 1\n", "line 4: action record needs 4 fields, found 1"),
+        ("prod 0 X\n", "line 4: prod record needs at least 4 fields, found 2"),
+        ("goto 0 X x\n", "line 4: non-numeric field"),
+        ("states 4 5\n", "line 4: states record needs 1 fields, found 2"),
+        ("shift 0 a\n", "line 4: unknown record 'shift'"),
+    ],
+)
+def test_malformed_table_line_raises(tmp_path, replacement, message):
+    table, _ = setup_catalan()
+    path = tmp_path / "t.tbl"
+    dump_table(table, path)
+    assert load_table(path).table_hash() == table.table_hash()
+    _corrupt(path, 4, replacement)
+    with pytest.raises(ValueError, match="^" + message):
+        load_table(path)
+
+
+# ---------------------------------------------------------------------------
+# pins: rank rows, enumeration order and training histories on every fixture
+# grammar; digests computed before the forest consumers became loops
+
+def _pin_cases(grammar):
+    if grammar in ("tagseq.gr", "integrated.gr", "commatext.gr"):
+        source = "comma_series.txt" if grammar == "commatext.gr" else "tagged_example.txt"
+        return [to_lattice(t) for t in read_tagged_file(FIXTURES / source)]
+    if grammar == "catalan.gr":
+        return [lattice_from_labels(["a"] * n) for n in range(1, 9)]
+    return [lattice_from_labels([n, v]) for n in ("NN1", "NN2") for v in ("VVZ", "VV0")]
+
+
+PIN_TREEBANKS = {"catalan.gr": "catalan_train.tb", "tagseq.gr": "tagseq_gold.tb"}
+
+FOREST_CONSUMER_PINS = {
+    "agree.gr": ("759bdb17de8e6d63", "b5092b9f8e300ffb", "9504f713ae724170"),
+    "agree_relaxed.gr": ("e1237314098f856c", "95335616469644fb", "fb9a3fdf6fdf71d7"),
+    "catalan.gr": ("32919e56f37f1f35", "17eb6a1c9d1dab49", "f4aba144bc343923"),
+    "commatext.gr": ("245d5d6074828bba", "658cc669e8c8e306", "8a174e1f8727beec"),
+    "integrated.gr": ("50443465791b92bf", "0431ff8d5a4c5839", "f966645d5e4da8ab"),
+    "tagseq.gr": ("77486370f65388aa", "f27ace196d9410ab", "c75b3054e2d0f7fc"),
+}
+
+
+def forest_consumer_digests(grammar):
+    """sha256 prefixes of (rank --nbest 10 rows with and without tag
+    likelihoods, ordered enumeration signatures, extract_histories)."""
+    artifacts = compile_fixture(grammar)
+    _, _, residues, table = artifacts
+    if grammar in PIN_TREEBANKS:
+        _, model, _ = train_model_from_treebanks(
+            artifacts, [FIXTURES / PIN_TREEBANKS[grammar]], [1.0]
+        )
+    else:
+        model = smooth_good_turing(train_counts([], table.table_hash()), table)
+    ranks, sigs, hists = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for i, lattice in enumerate(_pin_cases(grammar)):
+        outcome = parse_lattice(lattice, table, residues)
+        if not outcome.ok:
+            continue
+        forest = outcome.forest
+        for tags in (False, True):
+            for a in rank_nbest(forest, model, 10, include_tag_likelihoods=tags):
+                ranks.update(b"%d\t%d\t%r\t%s\n"
+                             % (i, a.rank, a.log_prob, format_tree(a.tree).encode()))
+        for d in enumerate_derivations(forest):
+            sigs.update(repr(derivation_signature(forest, d)).encode())
+        hists.update(repr(extract_histories(forest)).encode())
+    return tuple(h.hexdigest()[:16] for h in (ranks, sigs, hists))
+
+
+@pytest.mark.parametrize("grammar", sorted(FOREST_CONSUMER_PINS))
+def test_forest_consumers_pinned(grammar):
+    assert forest_consumer_digests(grammar) == FOREST_CONSUMER_PINS[grammar]
+
+
+def test_deep_chain_ranks_and_extracts_without_recursion():
+    chain = "%start S\nS -> S 'a' ;\nS -> 'a' ;\n"
+    backbone, residues = compile_grammar(parse_grammar_file(chain))
+    table = build_lalr(backbone)
+    outcome = parse(table, residues, ["a"] * 2000)
+    model = smooth_good_turing(train_counts([], table.table_hash()), table)
+    (analysis,) = rank_nbest(outcome.forest, model, 10, include_tag_likelihoods=True)
+    assert (analysis.tree.start, analysis.tree.end) == (0, 2000)
+    histories, weights = extract_histories(outcome.forest)
+    assert weights == [1.0] and len(histories[0]) == 2 * 2000 + 1
+    tree = derivation_to_tree(outcome.forest, analysis.derivation)
+    depth = 0
+    while tree.children:
+        tree = tree.children[0]
+        depth += 1
+    assert depth == 2000
