@@ -8,6 +8,7 @@ timings are printed only on request since they never are.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -16,11 +17,13 @@ from pathlib import Path
 
 from .evalmetrics import coverage_stats, extract_brackets, geig_report
 from .glr import (
+    ROOT_KEY,
     constrained_parse,
     count_parses,
     derivation_to_tree,
     enumerate_derivations,
     export_forest,
+    inside_counts,
     lattice_from_labels,
     parse_lattice,
 )
@@ -29,13 +32,13 @@ from .lalr import build_lalr, dump_table, load_table
 from .lattice import read_tagged_file, to_lattice
 from .model import (
     ModelError,
-    extract_histories,
+    TransitionCounts,
     load_model,
     rank_nbest,
     save_counts,
     save_model,
     smooth_good_turing,
-    train_counts,
+    transition_occurrences,
 )
 from .trees import format_tree, read_treebank, tree_leaves
 
@@ -199,15 +202,12 @@ def train_model_from_treebanks(artifacts, treebank_paths, weights, subsample=Non
 
 def train_from_trees(artifacts, weighted_trees, max_histories=MAX_HISTORIES):
     """Bracket-constrained training from (tree, weight) pairs; returns
-    (counts, model, report dict).  A tree with more than max_histories
-    consistent derivations is counted and skipped before any is enumerated."""
+    (counts, model, report dict).  Each of a tree's m consistent derivations
+    counts at weight/m, read off the forest by transition_occurrences; a tree
+    with more than max_histories derivations is skipped."""
     grammar, backbone, residues, table = artifacts
-    histories = []
-    history_weights = []
-    used = 0
-    inconsistent = 0
-    unparseable = 0
-    capped = 0
+    counts = TransitionCounts({}, table.table_hash())
+    histories = used = inconsistent = unparseable = capped = 0
     for tree, weight in weighted_trees:
         lattice = lattice_from_labels(tree_leaves(tree))
         outcome = constrained_parse(lattice, table, residues, extract_brackets(tree).spans)
@@ -218,19 +218,22 @@ def train_from_trees(artifacts, weighted_trees, max_histories=MAX_HISTORIES):
             else:
                 unparseable += 1
             continue
-        if count_parses(outcome.forest) > max_histories:
+        inside = inside_counts(outcome.forest)
+        m = inside[ROOT_KEY]
+        if m > max_histories:
             capped += 1
             continue
-        hs, ws = extract_histories(outcome.forest)
+        # (1.0 / m) * weight rounds as extract_histories' 1/m times the
+        # tree's weight does; weight / m may differ in the last bit
+        occurrences = transition_occurrences(outcome.forest, inside)
+        counts.add_occurrences(occurrences, m, (1.0 / m) * weight)
         used += 1
-        histories.extend(hs)
-        history_weights.extend(w * weight for w in ws)
-    counts = train_counts(histories, table.table_hash(), history_weights)
+        histories += m
     model = smooth_good_turing(counts, table)
     report = {
         "trees": len(weighted_trees),
         "used": used,
-        "histories": len(histories),
+        "histories": histories,
         "skeleton_inconsistent": inconsistent,
         "unparseable": unparseable,
         "over_history_cap": capped,
@@ -239,8 +242,25 @@ def train_from_trees(artifacts, weighted_trees, max_histories=MAX_HISTORIES):
 
 
 def cmd_train(args):
-    artifacts = load_artifacts(args.grammar)
     weights = args.weight or []
+    if len(weights) > len(args.treebank):
+        raise UsageError(
+            "%d --weight values for %d --treebank files" % (len(weights), len(args.treebank))
+        )
+    for w in weights:
+        if not (math.isfinite(w) and w > 0):
+            raise UsageError("--weight must be finite and positive, not %r" % w)
+    if args.subsample is not None:
+        try:
+            positive = Fraction(args.subsample) > 0
+        except (ValueError, ZeroDivisionError):
+            positive = False
+        if not positive:
+            raise UsageError(
+                "--subsample must be a positive fraction such as 1/64, not %r"
+                % args.subsample
+            )
+    artifacts = load_artifacts(args.grammar)
     weights = weights + [1.0] * (len(args.treebank) - len(weights))
     counts, model, report = train_model_from_treebanks(
         artifacts,

@@ -423,8 +423,13 @@ def constrained_parse(
 # forest consumers
 
 def count_parses(forest: ParseForest) -> int:
-    """Exact derivation count: an inside sum-product over bundles, in exact
-    integers, one loop over the children-first node order."""
+    """Exact derivation count of the whole forest."""
+    return inside_counts(forest)[ROOT_KEY]
+
+
+def inside_counts(forest: ParseForest) -> dict:
+    """Each node's exact derivation count: an inside sum-product over
+    bundles, in exact integers, one loop over the children-first node order."""
     counts: dict = {}
     for key, node in forest.nodes.items():
         if isinstance(node, ForestLeaf):
@@ -437,7 +442,7 @@ def count_parses(forest: ParseForest) -> int:
                 product *= counts[child_key]
             total += product
         counts[key] = total
-    return counts[ROOT_KEY]
+    return counts
 
 
 def enumerate_derivations(forest: ParseForest):

@@ -308,8 +308,9 @@ def load_table(path) -> LalrTable:
     fields = {
         "backbone": (str,),
         "states": (int,),
-        "prod": (int, unesc, unesc, str, unesc, ...),  # index lhs rule-id ':' rhs
-        "action": (int, unesc, str, int),
+        # index lhs rule-id ':' rhs
+        "prod": (int, unesc, unesc, one_of("prod separator", ":"), unesc, ...),
+        "action": (int, unesc, ACTION_KIND, int),
         "goto": (int, unesc, int),
     }
     for record, values in read_records(path, "table", fields):
@@ -362,11 +363,31 @@ def read_records(path, kind: str, fields: dict, error=ValueError):
                 values = [
                     conv(x) for conv, x in zip(chain(fixed, repeat(tail)), parts[1:])
                 ]
+            except FieldError as exc:
+                raise error("line %d: %s" % (lineno, exc)) from None
             except ValueError:
                 raise error(
                     "line %d: non-numeric field in %r" % (lineno, line.strip())
                 ) from None
             yield parts[0], values
+
+
+class FieldError(ValueError):
+    """A field a read_records converter rejects, with the reason to report."""
+
+
+def one_of(what: str, *allowed: str):
+    """A read_records converter that accepts only the words allowed."""
+    def convert(field: str) -> str:
+        if field not in allowed:
+            raise FieldError(
+                "expected %s for the %s, found %r" % (" or ".join(allowed), what, field)
+            )
+        return field
+    return convert
+
+
+ACTION_KIND = one_of("action kind", SHIFT, REDUCE, ACCEPT)
 
 
 def esc(label: str) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .glr import (
@@ -27,7 +28,7 @@ from .glr import (
     enumerate_derivations,
     walk_derivation,
 )
-from .lalr import Action, LalrTable, esc, read_records, unesc
+from .lalr import ACTION_KIND, Action, LalrTable, esc, read_records, unesc
 
 
 class ModelError(Exception):
@@ -40,12 +41,27 @@ class TransitionCounts:
     table_hash: str
     total_histories: float = 0.0
 
-    def total_mass(self) -> float:
-        return sum(self.counts.values())
+    def add_occurrences(self, occurrences: dict, histories: int, weight: float):
+        """Add `histories` parse histories, each at `weight`, whose
+        transitions occur occurrences[key] times in all.  weight is added
+        once per occurrence and once per history, and new keys go in in the
+        order of occurrences, so the float sums and the key order equal
+        train_counts' over the same histories."""
+        counts = self.counts
+        for key, n in occurrences.items():
+            c = counts.get(key, 0.0)
+            for _ in range(n):
+                c += weight
+            counts[key] = c
+        total = self.total_histories
+        for _ in range(histories):
+            total += weight
+        self.total_histories = total
 
 
 def train_counts(histories: Iterable, table_hash: str, weights=None) -> TransitionCounts:
-    """Accumulate transition counts from parse histories.
+    """Accumulate transition counts from parse histories, one at a time: the
+    reference that training from transition_occurrences is tested against.
 
     histories: iterable of transition sequences as recorded on derivations.
     weights: optional per-history weights; a treebank sentence that retains m
@@ -366,12 +382,69 @@ def _leaf_likelihood_sum(forest, deriv) -> float:
 
 def extract_histories(forest: ParseForest):
     """Transition sequences of every derivation in a (small) forest, plus
-    the per-history weight 1/m."""
+    the per-history weight 1/m: the enumeration that transition_occurrences
+    is tested against."""
     derivs = enumerate_derivations(forest)
     histories = [derivation_transitions(forest, d) for d in derivs]
     m = len(histories)
     weights = [1.0 / m] * m if m else []
     return histories, weights
+
+
+def transition_occurrences(forest: ParseForest, inside: dict) -> dict:
+    """How often each transition occurs over all the forest's derivations,
+    exactly, keyed in the order extract_histories' histories first meet it.
+
+    inside is glr.inside_counts(forest).  With outside(v) the number of ways
+    to complete a derivation of the root around node v, a bundle's
+    transition occurs outside(node) x prod inside(child) times and a leaf's
+    outside(leaf) times.  For the order, first(v) is the transitions of v's
+    first derivation and seen(v) those of all its derivations, each in order
+    of first appearance; per bundle, seen(v) takes first(c1) ... first(cr),
+    the bundle's transition, then seen(cr) ... seen(c1), because the last
+    child varies fastest in enumerate_derivations.
+    """
+    index: dict = {}  # transition -> small integer, in order of discovery
+    bundle_ids: dict = {}
+    first: dict = {}
+    seen: dict = {}
+    for key, node in forest.nodes.items():
+        if isinstance(node, ForestLeaf):
+            first[key] = seen[key] = (index.setdefault(node.transition, len(index)),)
+            continue
+        ids = [index.setdefault(b.transition, len(index)) for b in node.bundles]
+        bundle_ids[key] = ids
+        leading = node.bundles[0].children
+        first[key] = tuple(dict.fromkeys(
+            chain(chain.from_iterable(first[c] for c in leading), (ids[0],))
+        ))
+        if inside[key] == 1:  # one derivation: seen is first
+            seen[key] = first[key]
+            continue
+        order = []
+        for b, t in zip(node.bundles, ids):
+            order.extend(chain.from_iterable(first[c] for c in b.children))
+            order.append(t)
+            order.extend(chain.from_iterable(seen[c] for c in reversed(b.children)))
+        seen[key] = tuple(dict.fromkeys(order))
+
+    occurrences = [0] * len(index)
+    outside = dict.fromkeys(forest.nodes, 0)
+    outside[ROOT_KEY] = 1
+    for key in reversed(forest.nodes):
+        node = forest.nodes[key]
+        if isinstance(node, ForestLeaf):
+            occurrences[first[key][0]] += outside[key]
+            continue
+        for b, t in zip(node.bundles, bundle_ids[key]):
+            product = outside[key]
+            for c in b.children:
+                product *= inside[c]
+            occurrences[t] += product
+            for c in b.children:
+                outside[c] += product // inside[c]
+    transitions = list(index)
+    return {transitions[i]: occurrences[i] for i in seen[ROOT_KEY]}
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +463,7 @@ def save_counts(counts: TransitionCounts, path):
             )
 
 
-_TRANSITION = (int, unesc, str, int, float)  # state, label, action kind, action arg, value
+_TRANSITION = (int, unesc, ACTION_KIND, int, float)  # state, label, kind, arg, value
 
 
 def load_counts(path) -> TransitionCounts:

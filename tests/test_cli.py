@@ -1,5 +1,8 @@
+import hashlib
 import subprocess
 import sys
+
+import pytest
 
 from punclr.cli import main
 from conftest import FIXTURES
@@ -309,3 +312,92 @@ def test_train_deep_left_branching_tree(capsys, tmp_path):
     assert report["treebank trees"] == "1"
     assert report["sentences used"] == "1"
     assert report["histories extracted"] == "1"
+
+
+@pytest.mark.parametrize(
+    "command, replacement, message",
+    [
+        ("parse", "action 0 a bogus 2\n", "line 4: expected shift or reduce or accept"),
+        ("parse", "prod 0 $aug $aug = X\n", "line 4: expected : for the prod separator"),
+        ("rank", "prob 0 a bogus 2 0.5\n", "line 4: expected shift or reduce or accept"),
+    ],
+)
+def test_unknown_action_kind_or_separator_exits_2(capsys, tmp_path, command, replacement,
+                                                   message):
+    grammar = FIXTURES / "catalan.gr"
+    artifact = tmp_path / "artifact"
+    if command == "parse":
+        run(capsys, "compile", grammar, "-o", artifact)
+    else:
+        run(capsys, "train", "--grammar", grammar,
+            "--treebank", FIXTURES / "catalan_train.tb", "--model-out", artifact)
+    lines = artifact.read_text().splitlines(keepends=True)
+    lines[3] = replacement
+    artifact.write_text("".join(lines))
+    sent = tmp_path / "s.txt"
+    sent.write_text("a|a:1.0 a|a:1.0\n")
+    option = "--table" if command == "parse" else "--model"
+    code, out, err = run(capsys, command, "--grammar", grammar, option, artifact, sent)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--weight", "1", "--weight", "2"], "2 --weight values for 1 --treebank files"),
+        (["--weight", "-1"], "--weight must be finite and positive"),
+        (["--weight", "0"], "--weight must be finite and positive"),
+        (["--weight", "nan"], "--weight must be finite and positive"),
+        (["--weight", "inf"], "--weight must be finite and positive"),
+        (["--subsample", "half"], "--subsample must be a positive fraction"),
+        (["--subsample", "1/0"], "--subsample must be a positive fraction"),
+        (["--subsample", "0"], "--subsample must be a positive fraction"),
+    ],
+)
+def test_train_bad_weight_or_subsample_is_usage_error(capsys, tmp_path, options, message):
+    model = tmp_path / "m.model"
+    code, out, err = run(
+        capsys, "train", "--grammar", FIXTURES / "catalan.gr",
+        "--treebank", FIXTURES / "catalan_train.tb", "--model-out", model, *options,
+    )
+    assert code == 1
+    assert message in err
+    assert not model.exists()
+
+
+# sha256 prefixes of (model file, counts file, report) of punclr train: the
+# bytes training must keep, whatever computes the transition counts
+FLAT_TREEBANK = (
+    "(X a a a a a)\n(X (X a a a) a a)\n(X a (X a a a a))\n(X (X a a) (X a a a))\n"
+    "(X a a a a a a a)\n(X (X a a a a) (X a a a) a)\n"
+)
+TRAIN_PINS = {
+    "catalan": (["catalan.gr", "catalan_train.tb"],
+                ("82ef800c0be80cc5", "26e2c9edb98d07a1", "0dc61f1040f5044a")),
+    "tagseq": (["tagseq.gr", "tagseq_gold.tb"],
+               ("e5ed9c48f0e7b43d", "bd2cad84d5b53b76", "a8c52881879f6d06")),
+    "weighted": (["catalan.gr", "catalan_train.tb", "catalan_test.tb", "--weight", "0.3",
+                  "--weight", "2.5", "--subsample", "3/4", "--seed", "3"],
+                 ("a3934dcb02da5f08", "dbc2f07813aab3ef", "9cfbea25bea99ab8")),
+    "flat": (["catalan.gr", "FLAT", "catalan_train.tb", "--weight", "1.5"],
+             ("8d8fb46825ec3ec0", "a4ef8fac12c18a80", "c3809ab17b7158d2")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_PINS))
+def test_train_outputs_pinned(capsys, tmp_path, case):
+    (grammar, *rest), digests = TRAIN_PINS[case]
+    flat = tmp_path / "flat.tb"
+    flat.write_text(FLAT_TREEBANK)
+    argv = ["--grammar", FIXTURES / grammar]
+    for arg in rest:
+        if arg.endswith(".tb") or arg == "FLAT":
+            argv += ["--treebank", flat if arg == "FLAT" else FIXTURES / arg]
+        else:
+            argv.append(arg)
+    model, counts = tmp_path / "m.model", tmp_path / "m.counts"
+    code, out, err = run(capsys, "train", *argv, "--model-out", model, "--counts-out", counts)
+    assert code == 0, err
+    outputs = (model.read_bytes(), counts.read_bytes(), out.encode())
+    assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in outputs) == digests

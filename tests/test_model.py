@@ -2,9 +2,12 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, compile_fixture
-from punclr.cli import train_model_from_treebanks
+from punclr import cli, glr, model as model_module
+from punclr.cli import train_from_trees, train_model_from_treebanks
+from punclr.evalmetrics import extract_brackets
 from punclr.grammar import compile_grammar, parse_grammar_file
 from punclr.lalr import build_lalr, dump_table, load_table
 from punclr.glr import (
@@ -13,6 +16,7 @@ from punclr.glr import (
     derivation_to_tree,
     derivation_transitions,
     enumerate_derivations,
+    inside_counts,
     lattice_from_labels,
     parse_lattice,
 )
@@ -31,9 +35,10 @@ from punclr.model import (
     score_derivation,
     smooth_good_turing,
     train_counts,
+    transition_occurrences,
 )
 from punclr.lattice import read_tagged_file, to_lattice
-from punclr.trees import format_tree
+from punclr.trees import format_tree, parse_tree_line, read_treebank, tree_leaves
 
 CATALAN = "%start X\nX -> X X ;\nX -> 'a' ;\n"
 
@@ -373,9 +378,13 @@ def _corrupt(path, lineno, replacement):
         ("counts", "\n", "line 4: blank line"),
         ("counts", "count 0 a\n", "line 4: count record needs 5 fields, found 2"),
         ("counts", "count 0 a reduce x 1.0\n", "line 4: non-numeric field"),
+        ("counts", "count 0 a bogus 1 1.0\n",
+         "line 4: expected shift or reduce or accept for the action kind, found 'bogus'"),
         ("model", "\n", "line 4: blank line"),
         ("model", "prob 0\n", "line 4: prob record needs 5 fields, found 1"),
         ("model", "unseen zero a 0.5\n", "line 4: non-numeric field"),
+        ("model", "prob 0 a Shift 1 0.5\n",
+         "line 4: expected shift or reduce or accept for the action kind, found 'Shift'"),
     ],
 )
 def test_malformed_line_raises_model_error(tmp_path, reader, replacement, message):
@@ -395,6 +404,9 @@ def test_malformed_line_raises_model_error(tmp_path, reader, replacement, messag
         ("goto 0 X x\n", "line 4: non-numeric field"),
         ("states 4 5\n", "line 4: states record needs 1 fields, found 2"),
         ("shift 0 a\n", "line 4: unknown record 'shift'"),
+        ("action 0 a bogus 2\n",
+         "line 4: expected shift or reduce or accept for the action kind, found 'bogus'"),
+        ("prod 0 $aug $aug -> X\n", "line 4: expected : for the prod separator, found '->'"),
     ],
 )
 def test_malformed_table_line_raises(tmp_path, replacement, message):
@@ -480,3 +492,122 @@ def test_deep_chain_ranks_and_extracts_without_recursion():
         tree = tree.children[0]
         depth += 1
     assert depth == 2000
+
+
+# ---------------------------------------------------------------------------
+# training from exact occurrence counts, checked against the enumeration
+
+def enumerated_counts(artifacts, weighted_trees, max_histories):
+    """train_counts over extract_histories for the trees train_from_trees
+    uses: the reference for its counts."""
+    _, _, residues, table = artifacts
+    histories, weights = [], []
+    for tree, weight in weighted_trees:
+        lattice = lattice_from_labels(tree_leaves(tree))
+        outcome = parse_lattice(lattice, table, residues,
+                                skeleton=extract_brackets(tree).spans)
+        if not outcome.ok or count_parses(outcome.forest) > max_histories:
+            continue
+        hs, ws = extract_histories(outcome.forest)
+        histories.extend(hs)
+        weights.extend(w * weight for w in ws)
+    return train_counts(histories, table.table_hash(), weights)
+
+
+def assert_counts_bit_identical(artifacts, weighted_trees, max_histories=cli.MAX_HISTORIES):
+    got, _, report = train_from_trees(artifacts, weighted_trees, max_histories)
+    want = enumerated_counts(artifacts, weighted_trees, max_histories)
+    assert [(k, v.hex()) for k, v in got.counts.items()] == [
+        (k, v.hex()) for k, v in want.counts.items()
+    ]
+    assert got.total_histories.hex() == want.total_histories.hex()
+    return report
+
+
+@pytest.mark.parametrize("grammar, treebank", sorted(PIN_TREEBANKS.items()))
+def test_training_counts_equal_enumeration_on_fixture_treebanks(grammar, treebank):
+    trees = [t for _, t in read_treebank(FIXTURES / treebank)]
+    artifacts = compile_fixture(grammar)
+    assert_counts_bit_identical(artifacts, [(t, 1.0) for t in trees])
+    weighted = [(t, 0.1 + i / 3) for i, t in enumerate(reversed(trees))]
+    assert assert_counts_bit_identical(artifacts, weighted)["used"] == len(trees)
+
+
+@st.composite
+def partly_flat_catalan_tree(draw):
+    """A catalan treebank line over 1-8 leaves whose internal nodes have
+    two or more children, so a node over k leaves may be anything from a
+    binary split to flat."""
+    def span(n):
+        if n == 1:
+            return "a"
+        cuts = draw(st.sets(st.integers(1, n - 1), min_size=1))
+        bounds = [0, *sorted(cuts), n]
+        return "(X %s)" % " ".join(span(b - a) for a, b in zip(bounds, bounds[1:]))
+
+    n = draw(st.integers(1, 8))
+    return parse_tree_line(span(n) if n > 1 else "(X a)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(partly_flat_catalan_tree(), st.floats(0.01, 10.0)), min_size=1, max_size=4
+    ),
+    st.sampled_from([20, cli.MAX_HISTORIES]),
+)
+def test_training_counts_equal_enumeration_on_weighted_mixtures(weighted_trees, cap):
+    assert_counts_bit_identical(compile_fixture("catalan.gr"), weighted_trees, cap)
+
+
+# every x and y has two analyses with transitions of their own, so the order
+# in which an enumeration first meets transitions depends on which child of
+# a bundle varies fastest
+TWO_WAY = (
+    "%start S\nS -> S S ;\nS -> A ;\nS -> B ;\n"
+    "A -> 'x' ;\nA -> C ;\nC -> 'x' ;\nB -> 'y' ;\nB -> D ;\nD -> 'y' ;\n"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.sampled_from("xy"), min_size=1, max_size=5),
+                  st.floats(0.01, 10.0)),
+        min_size=1, max_size=3,
+    )
+)
+def test_training_counts_equal_enumeration_on_two_way_ambiguous_leaves(sentences):
+    grammar = parse_grammar_file(TWO_WAY)
+    backbone, residues = compile_grammar(grammar)
+    artifacts = (grammar, backbone, residues, build_lalr(backbone))
+    weighted = [(parse_tree_line("(S %s)" % " ".join(words)), w) for words, w in sentences]
+    assert assert_counts_bit_identical(artifacts, weighted)["used"] == len(sentences)
+
+
+@pytest.mark.parametrize("grammar", sorted(FOREST_CONSUMER_PINS))
+def test_transition_occurrences_count_and_order_enumerated_histories(grammar):
+    _, _, residues, table = compile_fixture(grammar)
+    for lattice in _pin_cases(grammar):
+        outcome = parse_lattice(lattice, table, residues)
+        if not outcome.ok:
+            continue
+        tally = {}
+        for history in extract_histories(outcome.forest)[0]:
+            for transition in history:
+                tally[transition] = tally.get(transition, 0) + 1
+        got = transition_occurrences(outcome.forest, inside_counts(outcome.forest))
+        assert list(got.items()) == list(tally.items())
+
+
+def test_training_never_enumerates(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("training enumerated derivations")
+
+    for module in (glr, model_module, cli):
+        monkeypatch.setattr(module, "enumerate_derivations", refuse)
+    monkeypatch.setattr(model_module, "extract_histories", refuse)
+    flat = parse_tree_line("(X %s)" % " ".join(["a"] * 10))
+    counts, _, report = train_from_trees(compile_fixture("catalan.gr"), [(flat, 1.0)])
+    assert report["used"] == 1 and report["histories"] == 4862
+    assert counts.total_histories == pytest.approx(1.0)
