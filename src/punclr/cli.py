@@ -21,10 +21,10 @@ from .glr import (
     constrained_parse,
     count_parses,
     derivation_to_tree,
-    enumerate_derivations,
     export_forest,
     inside_counts,
     lattice_from_labels,
+    nth_derivation,
     parse_lattice,
 )
 from .grammar import GrammarError, compile_grammar, load_grammar
@@ -32,6 +32,7 @@ from .lalr import build_lalr, dump_table, load_table
 from .lattice import read_tagged_file, to_lattice
 from .model import (
     ModelError,
+    RankTimeout,
     TransitionCounts,
     load_model,
     rank_nbest,
@@ -310,17 +311,23 @@ def cmd_rank(args):
     failures = 0
     for i, lat in enumerate(lattices):
         outcome = parse_lattice(lat, table, residues, budget=args.timeout)
-        if not outcome.ok:
+        status = outcome.status
+        if outcome.ok:
+            try:
+                ranked = rank_nbest(
+                    outcome.forest, model, args.nbest,
+                    include_tag_likelihoods=args.tag_likelihoods,
+                    budget=args.timeout - outcome.cpu_seconds,
+                )
+            except RankTimeout:
+                status = "timeout"
+        if status != "ok":
             failures += 1
             if args.format == "tsv":
-                print("%d\t*\t%s\t-" % (i, outcome.status))
+                print("%d\t*\t%s\t-" % (i, status))
             else:
-                print("sentence %-4d %s" % (i, outcome.status))
+                print("sentence %-4d %s" % (i, status))
             continue
-        ranked = rank_nbest(
-            outcome.forest, model, args.nbest,
-            include_tag_likelihoods=args.tag_likelihoods,
-        )
         for analysis in ranked:
             rendered = format_tree(analysis.tree)
             if args.format == "tsv":
@@ -356,8 +363,10 @@ def select_analysis(forest, model, rng=None):
     zero-training condition)."""
     if rng is None:
         return rank_nbest(forest, model, 1)[0].tree
-    derivs = enumerate_derivations(forest)
-    return derivation_to_tree(forest, rng.choice(derivs))
+    # randrange(m) makes the same draw as choice() over the m enumerated
+    # derivations, so the pick is the enumeration's
+    index = rng.randrange(count_parses(forest))
+    return derivation_to_tree(forest, nth_derivation(forest, index))
 
 
 def evaluate_against_gold(artifacts, gold_trees, model=None, rng=None, timeout=None):
@@ -493,7 +502,8 @@ def build_arg_parser():
         p.add_argument("--grammar", required=True)
         p.add_argument("--table", help="compiled table file to verify against")
         p.add_argument("--timeout", type=float, default=30.0,
-                       help="per-sentence CPU budget in seconds")
+                       help="per-sentence CPU budget in seconds (for rank, "
+                            "parse and ranking together)")
         p.add_argument("--certainty", type=float, default=0.9)
         p.add_argument("--ratio", type=float, default=50.0)
         p.add_argument("--plain", action="store_true",

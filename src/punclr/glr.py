@@ -18,6 +18,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
+from math import prod
 from typing import Optional
 
 from .grammar import (
@@ -467,6 +468,42 @@ def enumerate_derivations(forest: ParseForest):
     return memo[ROOT_KEY]
 
 
+def nth_derivation(forest: ParseForest, index: int):
+    """enumerate_derivations(forest)[index], without the enumeration.
+
+    Top down, a node's index falls in one bundle's range of the running sum
+    of the bundles' derivation counts (the products of their children's
+    inside counts); its offset in that range splits in mixed radix over the
+    children's inside counts, the last child varying fastest, into one index
+    per child.
+    """
+    inside = inside_counts(forest)
+    if not 0 <= index < inside[ROOT_KEY]:
+        raise IndexError("derivation %d of %d" % (index, inside[ROOT_KEY]))
+    built = [[]]  # per open node, the derivations of its finished children
+    stack = [(True, ROOT_KEY, index)]  # (entering, key, index or bundle)
+    while stack:
+        entering, key, i = stack.pop()
+        node = forest.nodes[key]
+        if not entering:
+            children = tuple(built.pop())
+            built[-1].append((key, i, children))
+        elif isinstance(node, ForestLeaf):
+            built[-1].append((key, None, ()))
+        else:
+            for bi, b in enumerate(node.bundles):
+                size = prod(inside[c] for c in b.children)
+                if i < size:
+                    break
+                i -= size
+            built.append([])
+            stack.append((False, key, bi))
+            for c in reversed(b.children):
+                i, rest = divmod(i, inside[c])
+                stack.append((True, c, rest))
+    return built[0][0]
+
+
 def walk_derivation(deriv):
     """Iterative enter/leave traversal of a derivation: yields (True, d) on
     entering and (False, d) on leaving every subderivation d, children left
@@ -483,7 +520,9 @@ def walk_derivation(deriv):
 
 def derivation_transitions(forest: ParseForest, deriv):
     """The LR run of one derivation: post-order over the tree gives the
-    exact (state, lookahead, action) sequence the parser traversed."""
+    exact (state, lookahead, action) sequence the parser traversed.  Serves
+    extract_histories and the tests; rank_nbest sums its cached scores in
+    the same order."""
     out = []
     for entering, (key, bi, _) in walk_derivation(deriv):
         if not entering:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from .glr import (
     ForestLeaf,
@@ -238,7 +240,8 @@ def smooth_good_turing(counts: TransitionCounts, table: LalrTable) -> ProbModel:
 # scoring and n-best extraction
 
 def score_derivation(transitions, model: ProbModel) -> float:
-    """Sum of log transition probabilities along one parse history."""
+    """Sum of log transition probabilities along one parse history: the
+    canonical score rank_nbest's rescoring is tested against."""
     return sum(math.log(model.prob(s, l, a)) for s, l, a in transitions)
 
 
@@ -251,11 +254,16 @@ class RankedAnalysis:
     derivation: tuple
 
 
+class RankTimeout(Exception):
+    """rank_nbest used up its CPU budget."""
+
+
 def rank_nbest(
     forest: ParseForest,
     model: ProbModel,
     n: int,
     include_tag_likelihoods: bool = False,
+    budget: Optional[float] = None,
 ) -> list:
     """The n most probable analyses, exactly.
 
@@ -263,8 +271,10 @@ def rank_nbest(
     of a subderivation is context-free within the forest and a lazy k-best
     over the bundle DAG is exact.  Candidates are re-scored along their
     canonical transition sequence and ties break on the lexicographic
-    derivation signature.
+    derivation signature.  budget, when given, is the CPU time in seconds
+    ranking may take; past it RankTimeout is raised.
     """
+    t0 = time.process_time()
     if n < 1:
         raise ValueError("n must be positive")
     if model.table_hash and forest.table_hash and model.table_hash != forest.table_hash:
@@ -273,32 +283,48 @@ def rank_nbest(
             % (model.table_hash, forest.table_hash)
         )
 
+    log_probs: dict = {}  # transition -> log probability, each computed once
+
+    def log_prob(transition):
+        lp = log_probs.get(transition)
+        if lp is None:
+            lp = log_probs[transition] = math.log(model.prob(*transition))
+        return lp
+
     # per node: the entries ranked so far as (score, signature, bundle
-    # index, child ranks, derivation), the candidate heap of the same tuples
-    # with the score negated, and the (bundle, ranks) pairs ever pushed
+    # index, child ranks, derivation); from the first time a second entry
+    # is wanted, also the candidate heap of the same tuples with the score
+    # negated and the (bundle, ranks) pairs ever pushed
     lists: dict = {}
     heaps: dict = {}
     pushed: dict = {}
     exhausted: set = set()  # nodes with no further entries
-    bundle_scores: dict = {}
+    own_scores: dict = {}  # leaf -> log probability, node -> one per bundle
+
+    def candidate(key, bi, ranks):
+        """The entry of bundle bi over the children's entries at ranks, or
+        None when a child has no entry at its rank."""
+        b = forest.nodes[key].bundles[bi]
+        score = own_scores[key][bi]
+        sig = [("p", b.production)]
+        children = []
+        for ck, r in zip(b.children, ranks):
+            if r >= len(lists[ck]):
+                return None
+            cs, csig, _, _, cd = lists[ck][r]
+            score += cs
+            sig.extend(csig)
+            children.append(cd)
+        return score, tuple(sig), bi, ranks, (key, bi, tuple(children))
 
     def push(key, bi, ranks):
         if (bi, ranks) in pushed[key]:
             return
         pushed[key].add((bi, ranks))
-        b = forest.nodes[key].bundles[bi]
-        score = bundle_scores[key][bi]
-        sig = [("p", b.production)]
-        children = []
-        for ck, r in zip(b.children, ranks):
-            if r >= len(lists[ck]):
-                return  # that child is exhausted before rank r
-            cs, csig, _, _, cd = lists[ck][r]
-            score += cs
-            sig.extend(csig)
-            children.append(cd)
-        deriv = (key, bi, tuple(children))
-        heapq.heappush(heaps[key], (-score, tuple(sig), bi, ranks, deriv))
+        entry = candidate(key, bi, ranks)
+        if entry is not None:
+            score, sig, _, _, deriv = entry
+            heapq.heappush(heaps[key], (-score, sig, bi, ranks, deriv))
 
     def pop(key):
         if heaps[key]:
@@ -307,30 +333,47 @@ def rank_nbest(
         else:
             exhausted.add(key)
 
-    # every node's best entry, children first
+    def start_heap(key):
+        """key's candidate heap as it stands once its best entry is taken:
+        the first candidate of every other bundle."""
+        _, _, best_bi, best_ranks, _ = lists[key][0]
+        heaps[key] = []
+        pushed[key] = {(best_bi, best_ranks)}
+        for bi, b in enumerate(forest.nodes[key].bundles):
+            push(key, bi, (0,) * len(b.children))
+
+    # every node's best entry, children first: the bundle with the highest
+    # score over its children's best entries, the smallest signature among
+    # equal scores, as a heap of all first candidates would pop it
     for key, node in forest.nodes.items():
         if isinstance(node, ForestLeaf):
-            score = math.log(model.prob(*node.transition))
+            score = own_scores[key] = log_prob(node.transition)
             if include_tag_likelihoods:
                 score += math.log(node.likelihood)
             lists[key] = [(score, (("t", node.label),), None, (), (key, None, ()))]
             exhausted.add(key)
             continue
-        lists[key] = []
-        heaps[key] = []
-        pushed[key] = set()
-        bundle_scores[key] = [math.log(model.prob(*b.transition)) for b in node.bundles]
-        for bi, b in enumerate(node.bundles):
-            push(key, bi, (0,) * len(b.children))
-        pop(key)
+        own = own_scores[key] = [log_prob(b.transition) for b in node.bundles]
+        scores = []
+        for b, score in zip(node.bundles, own):
+            for ck in b.children:
+                score += lists[ck][0][0]
+            scores.append(score)
+        best = max(scores)
+        lists[key] = [min(
+            (candidate(key, bi, (0,) * len(node.bundles[bi].children))
+             for bi, score in enumerate(scores) if score == best),
+            key=itemgetter(1, 2),
+        )]
 
     # later entries by Huang & Chiang's lazy next on an explicit stack of
     # (node, rank wanted): a node's next entry is popped right after the
     # successors of its last entry are pushed, and each successor may first
     # need one more entry of a child
-    want = max(n * 2 + 16, n)
-    stack = [(ROOT_KEY, want - 1)]
+    stack = [(ROOT_KEY, 2 * n + 16 - 1)]
     while stack:
+        if budget is not None and time.process_time() - t0 > budget:
+            raise RankTimeout("budget exhausted")
         key, rank = stack[-1]
         if rank < len(lists[key]) or key in exhausted:
             stack.pop()
@@ -342,14 +385,22 @@ def rank_nbest(
                 stack.append((ck, r + 1))
                 break
         else:
+            if key not in heaps:
+                start_heap(key)
             for ci in range(len(ranks)):
                 push(key, bi, ranks[:ci] + (ranks[ci] + 1,) + ranks[ci + 1:])
             pop(key)
-    candidates = lists[ROOT_KEY]
 
+    # the canonical score: the log probabilities in post-order, summed as
+    # score_derivation(derivation_transitions(...)) sums them
     rescored = []
-    for _, sig, _, _, deriv in candidates:
-        score = score_derivation(derivation_transitions(forest, deriv), model)
+    for _, sig, _, _, deriv in lists[ROOT_KEY]:
+        logs = [
+            own_scores[key] if bi is None else own_scores[key][bi]
+            for entering, (key, bi, _) in walk_derivation(deriv)
+            if not entering
+        ]
+        score = sum(logs)
         if include_tag_likelihoods:
             score += _leaf_likelihood_sum(forest, deriv)
         rescored.append((score, sig, deriv))

@@ -298,6 +298,25 @@ def test_rank_deep_chain_exits_0(capsys, tmp_path):
     assert row.startswith("0\t1\t") and row.endswith(" a)")
 
 
+def test_rank_timeout_covers_ranking(capsys, tmp_path):
+    """a^20 parses in about 1% of a quarter second of CPU, but its 5000 best
+    analyses take seconds to rank: the sentence times out in ranking, the
+    next one still ranks, and --strict counts the timeout."""
+    model = tmp_path / "cat.model"
+    code, _, _ = run(capsys, "train", "--grammar", FIXTURES / "catalan.gr",
+                     "--treebank", FIXTURES / "catalan_train.tb", "--model-out", model)
+    assert code == 0
+    sent = tmp_path / "s.txt"
+    sent.write_text(" ".join(["a|a:1.0"] * 20) + "\na|a:1.0 a|a:1.0\n")
+    argv = ["rank", "--grammar", FIXTURES / "catalan.gr", "--model", model, sent,
+            "--nbest", "5000", "--timeout", "0.25", "--format", "tsv"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["0\t*\ttimeout\t-", "1\t1\t0.0\t(X (X a) (X a))"]
+    code, _, _ = run(capsys, *argv, "--strict")
+    assert code == 3
+
+
 def test_train_deep_left_branching_tree(capsys, tmp_path):
     depth = 1199
     treebank = tmp_path / "deep.tb"

@@ -18,11 +18,13 @@ from punclr.glr import (
     enumerate_derivations,
     inside_counts,
     lattice_from_labels,
+    nth_derivation,
     parse_lattice,
 )
 from punclr.model import (
     ModelError,
     ProbModel,
+    RankTimeout,
     TransitionCounts,
     extract_histories,
     good_turing_adjusted_count,
@@ -476,6 +478,62 @@ def test_forest_consumers_pinned(grammar):
     assert forest_consumer_digests(grammar) == FOREST_CONSUMER_PINS[grammar]
 
 
+# sha256 of the rank_nbest rows (length, n, rank, log-prob, signature) on
+# catalan a^8..a^14 for n-best 1, 3 and 10, with and without tag
+# likelihoods; computed when every node's first candidates still went
+# through a heap.  Under the untrained model nearly every score ties, so the
+# signature order decides.
+RANK_ROW_PINS = {
+    "trained": "ea43b1c64dde53763001fec19181bed909789e4987d2587fabbe7688fb6dba07",
+    "untrained": "cf85689f76629827d34bbe93c43be518acb09de3bbe5df9fc5941aae895b6568",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANK_ROW_PINS))
+def test_rank_rows_pinned_on_ties(kind):
+    artifacts = compile_fixture("catalan.gr")
+    _, _, residues, table = artifacts
+    if kind == "trained":
+        _, model, _ = train_model_from_treebanks(
+            artifacts, [FIXTURES / PIN_TREEBANKS["catalan.gr"]], [1.0]
+        )
+    else:
+        model = smooth_good_turing(train_counts([], table.table_hash()), table)
+    digest = hashlib.sha256()
+    for length in range(8, 15):
+        forest = parse(table, residues, ["a"] * length).forest
+        for n in (1, 3, 10):
+            for tags in (False, True):
+                for a in rank_nbest(forest, model, n, include_tag_likelihoods=tags):
+                    digest.update(b"%d\t%d\t%d\t%r\t%r\n"
+                                  % (length, n, a.rank, a.log_prob, a.signature))
+    assert digest.hexdigest() == RANK_ROW_PINS[kind]
+
+
+@pytest.mark.parametrize("grammar", sorted(FOREST_CONSUMER_PINS))
+def test_nth_derivation_equals_enumeration(grammar):
+    _, _, residues, table = compile_fixture(grammar)
+    for lattice in _pin_cases(grammar):
+        outcome = parse_lattice(lattice, table, residues)
+        if not outcome.ok:
+            continue
+        derivs = enumerate_derivations(outcome.forest)
+        assert [nth_derivation(outcome.forest, i) for i in range(len(derivs))] == derivs
+        for index in (-1, len(derivs)):
+            with pytest.raises(IndexError):
+                nth_derivation(outcome.forest, index)
+
+
+def test_rank_budget_raises_rank_timeout():
+    table, residues = setup_catalan()
+    forest = parse(table, residues, ["a"] * 6).forest
+    model = smooth_good_turing(train_counts([], table.table_hash()), table)
+    with pytest.raises(RankTimeout):
+        rank_nbest(forest, model, 3, budget=-1.0)
+    unbounded = rank_nbest(forest, model, 3)
+    assert rank_nbest(forest, model, 3, budget=60.0) == unbounded
+
+
 def test_deep_chain_ranks_and_extracts_without_recursion():
     chain = "%start S\nS -> S 'a' ;\nS -> 'a' ;\n"
     backbone, residues = compile_grammar(parse_grammar_file(chain))
@@ -604,7 +662,8 @@ def test_training_never_enumerates(monkeypatch):
     def refuse(*_):
         raise AssertionError("training enumerated derivations")
 
-    for module in (glr, model_module, cli):
+    assert not hasattr(cli, "enumerate_derivations")
+    for module in (glr, model_module):
         monkeypatch.setattr(module, "enumerate_derivations", refuse)
     monkeypatch.setattr(model_module, "extract_histories", refuse)
     flat = parse_tree_line("(X %s)" % " ".join(["a"] * 10))
