@@ -28,7 +28,7 @@ from .glr import (
     parse_lattice,
 )
 from .grammar import GrammarError, compile_grammar, load_grammar
-from .lalr import build_lalr, dump_table, load_table
+from .lalr import build_lalr, dump_table
 from .lattice import read_tagged_file, to_lattice
 from .model import (
     ModelError,
@@ -87,16 +87,21 @@ def _init_worker(grammar_path):
 
 
 def _parse_one(job):
-    idx, lattice, budget = job
+    """Parse one sentence and count its analyses; with a dump directory,
+    also write the forest of a sentence that parsed there."""
+    idx, lattice, budget, dump_dir = job
     _, _, residues, table = _WORKER_STATE["artifacts"]
     outcome = parse_lattice(lattice, table, residues, budget=budget)
     count = count_parses(outcome.forest) if outcome.ok else None
+    if dump_dir and outcome.ok:
+        (Path(dump_dir) / ("sentence%03d.forest" % idx)).write_text(
+            export_forest(outcome.forest), encoding="utf-8"
+        )
     return idx, outcome.status, count, outcome.cpu_seconds
 
 
-def _run_parses(args, lattices, artifacts):
-    _, _, residues, table = artifacts
-    jobs = [(i, lat, args.timeout) for i, lat in enumerate(lattices)]
+def _run_parses(args, lattices, artifacts, dump_dir=None):
+    jobs = [(i, lat, args.timeout, dump_dir) for i, lat in enumerate(lattices)]
     if getattr(args, "jobs", 1) and args.jobs > 1:
         with ProcessPoolExecutor(
             max_workers=args.jobs,
@@ -135,21 +140,12 @@ def cmd_compile(args):
     return 0
 
 
-def _check_table_file(args, table):
-    if getattr(args, "table", None):
-        on_disk = load_table(args.table)
-        if on_disk.table_hash() != table.table_hash():
-            raise DataError(
-                "table file %s does not match the grammar (hashes %s vs %s)"
-                % (args.table, on_disk.table_hash(), table.table_hash())
-            )
-
-
 def cmd_parse(args):
     artifacts = load_artifacts(args.grammar)
-    _check_table_file(args, artifacts[3])
     lattices = read_lattices(args.input, args.plain, args.certainty, args.ratio)
-    results = _run_parses(args, lattices, artifacts)
+    if args.dump_forest:
+        Path(args.dump_forest).mkdir(parents=True, exist_ok=True)
+    results = _run_parses(args, lattices, artifacts, args.dump_forest)
     failures = 0
     if args.format == "tsv":
         print("sentence\tstatus\tparses")
@@ -164,16 +160,6 @@ def cmd_parse(args):
             if args.timing:
                 line += "  (%.3fs)" % cpu
             print(line)
-    if args.dump_forest:
-        _, _, residues, table = artifacts
-        outdir = Path(args.dump_forest)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for i, lat in enumerate(lattices):
-            outcome = parse_lattice(lat, table, residues, budget=args.timeout)
-            if outcome.ok:
-                (outdir / ("sentence%03d.forest" % i)).write_text(
-                    export_forest(outcome.forest), encoding="utf-8"
-                )
     if args.strict and failures:
         return 3
     return 0
@@ -301,7 +287,6 @@ def cmd_train(args):
 def cmd_rank(args):
     artifacts = load_artifacts(args.grammar)
     grammar, backbone, residues, table = artifacts
-    _check_table_file(args, table)
     model = load_model(args.model)
     if model.table_hash != table.table_hash():
         raise DataError(
@@ -358,11 +343,12 @@ def _with_words(tree, words):
     )
 
 
-def select_analysis(forest, model, rng=None):
+def select_analysis(forest, model, rng=None, budget=None):
     """Rank-1 analysis, or a random derivation when rng is given (the
-    zero-training condition)."""
+    zero-training condition).  budget bounds the ranking's CPU seconds as in
+    rank_nbest, which raises RankTimeout past it."""
     if rng is None:
-        return rank_nbest(forest, model, 1)[0].tree
+        return rank_nbest(forest, model, 1, budget=budget)[0].tree
     # randrange(m) makes the same draw as choice() over the m enumerated
     # derivations, so the pick is the enumeration's
     index = rng.randrange(count_parses(forest))
@@ -371,7 +357,9 @@ def select_analysis(forest, model, rng=None):
 
 def evaluate_against_gold(artifacts, gold_trees, model=None, rng=None, timeout=None):
     """Parse each gold sentence, select one analysis, compare brackets.
-    Returns (report, n_failed)."""
+    timeout bounds each sentence's parse and ranking together; a sentence
+    that fails or runs out of time counts as unparsed.  Returns (report,
+    n_failed)."""
     grammar, backbone, residues, table = artifacts
     pairs = []
     failed = 0
@@ -381,7 +369,12 @@ def evaluate_against_gold(artifacts, gold_trees, model=None, rng=None, timeout=N
         if not outcome.ok:
             failed += 1
             continue
-        chosen = select_analysis(outcome.forest, model, rng)
+        budget = None if timeout is None else timeout - outcome.cpu_seconds
+        try:
+            chosen = select_analysis(outcome.forest, model, rng, budget)
+        except RankTimeout:
+            failed += 1
+            continue
         pairs.append((extract_brackets(chosen), extract_brackets(tree)))
     if not pairs:
         raise DataError("no gold sentence could be parsed")
@@ -500,7 +493,6 @@ def build_arg_parser():
 
     def common_parse(p):
         p.add_argument("--grammar", required=True)
-        p.add_argument("--table", help="compiled table file to verify against")
         p.add_argument("--timeout", type=float, default=30.0,
                        help="per-sentence CPU budget in seconds (for rank, "
                             "parse and ranking together)")
@@ -553,7 +545,9 @@ def build_arg_parser():
     p.add_argument("--model")
     p.add_argument("--gold", required=True)
     p.add_argument("--parsed", help="evaluate these trees instead of parsing")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float, default=30.0,
+                   help="per-sentence CPU budget in seconds, for parse and "
+                        "ranking together")
     common_io(p)
     p.set_defaults(func=cmd_eval)
 

@@ -137,12 +137,6 @@ class CFBackbone:
     terminals: frozenset
     start: str
 
-    def by_lhs(self) -> dict:
-        out: dict = {}
-        for p in self.productions:
-            out.setdefault(p.lhs, []).append(p)
-        return out
-
     def nonterminals(self) -> set:
         return {p.lhs for p in self.productions}
 
@@ -360,11 +354,7 @@ class _RuleParser:
                 _, fname, fline, fcol = self.next(expect_kind="sym")
                 self.next(expect_text="=")
                 vkind, vtext, vline, vcol = self.next()
-                if vkind == "var":
-                    value = vtext[1:]
-                elif vkind == "sym":
-                    value = None
-                else:
+                if vkind not in ("var", "sym"):
                     raise GrammarError("expected feature value, found %r" % vtext, vline, vcol)
                 if fname in feats:
                     raise GrammarError("duplicate feature %r" % fname, fline, fcol)
@@ -545,9 +535,9 @@ def expand_kleene(grammar: Grammar) -> Grammar:
         if all(d.rep == ONE for d in rule.daughters):
             out.append(rule)
             continue
-        occurrences: list = []
-        for idx, d in enumerate(rule.daughters):
-            occurrences.append({v for _, v in d.cat.features if isinstance(v, Var)})
+        occurrences = [
+            {v for _, v in d.cat.features if isinstance(v, Var)} for d in rule.daughters
+        ]
         mother_vars = {v for _, v in rule.mother.features if isinstance(v, Var)}
         new_daughters = []
         for idx, d in enumerate(rule.daughters):
@@ -563,9 +553,8 @@ def expand_kleene(grammar: Grammar) -> Grammar:
                 if isinstance(v, Var) and v in elsewhere
             }
             aux_name = "%s*%s@%d" % (d.cat.name, rule.id, idx)
-            aux_host = Category(aux_name, make_features(shared))
-            new_daughters.append(Daughter(aux_host))
             aux_cat = Category(aux_name, make_features(shared))
+            new_daughters.append(Daughter(aux_cat))
             iter_rule = Rule(
                 "%s@%d.iter" % (rule.id, idx),
                 aux_cat,
@@ -603,7 +592,8 @@ def compile_backbone(grammar: Grammar):
     residues maps production index -> ResidueSpec.  The grammar must already
     be Kleene-expanded.  Rejects grammars whose unit-derivation relation is
     cyclic (those have infinitely ambiguous strings, which a counting parser
-    cannot represent).
+    cannot represent) and grammars with a nonterminal that derives no
+    terminal string (its rules could never take part in a parse).
     """
     productions = []
     residues = {}
@@ -618,33 +608,47 @@ def compile_backbone(grammar: Grammar):
         residues[idx] = ResidueSpec(rule.mother, tuple(d.cat for d in rule.daughters))
     backbone = CFBackbone(tuple(productions), grammar.terminals, grammar.start)
     _check_unit_cycles(backbone)
+    unproductive = backbone.nonterminals() - _deriving(backbone, backbone.terminals)
+    if unproductive:
+        raise GrammarError(
+            "nonterminals that derive no terminal string: %s"
+            % ", ".join(repr(n) for n in sorted(unproductive))
+        )
     return backbone, residues
 
 
-def nullable_symbols(backbone: CFBackbone) -> set:
-    nullable: set = set()
+def _deriving(backbone: CFBackbone, seed) -> set:
+    """The least set holding seed and every symbol with a production whose
+    right-hand side lies wholly in the set: the symbols that derive some
+    string over seed."""
+    out = set(seed)
     changed = True
     while changed:
         changed = False
         for p in backbone.productions:
-            if p.lhs not in nullable and all(s in nullable for s in p.rhs):
-                nullable.add(p.lhs)
+            if p.lhs not in out and all(s in out for s in p.rhs):
+                out.add(p.lhs)
                 changed = True
-    return nullable
+    return out
+
+
+def nullable_symbols(backbone: CFBackbone) -> set:
+    return _deriving(backbone, ())
 
 
 def _check_unit_cycles(backbone: CFBackbone):
     nullable = nullable_symbols(backbone)
+    nonterminals = backbone.nonterminals()
     edges: dict = {}
     for p in backbone.productions:
         for i, s in enumerate(p.rhs):
-            if s in backbone.nonterminals() and all(
+            if s in nonterminals and all(
                 x in nullable for j, x in enumerate(p.rhs) if j != i
             ):
                 edges.setdefault(p.lhs, set()).add(s)
     # cycle detection over the unit-derivation graph
     WHITE, GREY, BLACK = 0, 1, 2
-    colour = {n: WHITE for n in backbone.nonterminals()}
+    colour = {n: WHITE for n in nonterminals}
 
     def visit(n):
         colour[n] = GREY

@@ -2,8 +2,9 @@
 
 States are the LR(0) canonical collection, numbered in breadth-first
 discovery order so that identical input always yields identical numbering.
-Lookaheads come from the standard spontaneous-generation-and-propagation
-computation.  Shift/reduce and reduce/reduce conflicts are kept as action
+Lookaheads are the least fixpoint of passing each closure item's lookaheads
+to its goto successor (DeRemer & Pennello 1982 compute the same sets).
+Shift/reduce and reduce/reduce conflicts are kept as action
 sets: the table drives a nondeterministic (generalized) parser, so a
 conflict is data, not an error.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 from .grammar import END_MARKER, CFBackbone, GrammarError, Production, nullable_symbols
 
@@ -45,14 +45,15 @@ class LalrTable:
     productions: tuple  # indexable by Action.arg for reduces
     start_state: int = 0
     # (state, label) -> (((reduce Action, arity), ...), (shift Action, ...),
-    # accept Action or None), each in the iteration order of the action set,
-    # so the parser visits actions exactly as a scan of `actions` would
+    # accept Action or None), each in sorted order, so the parser's visiting
+    # order depends on the table's contents alone
     rows: dict = field(init=False, repr=False, compare=False)
     _hash: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = {}
         for key, acts in self.actions.items():
+            acts = sorted(acts)
             reduces = tuple(
                 (a, len(self.productions[a.arg].rhs)) for a in acts if a.kind == REDUCE
             )
@@ -120,171 +121,106 @@ def build_lalr(backbone: CFBackbone) -> LalrTable:
     if backbone.start not in backbone.nonterminals():
         raise GrammarError("start symbol %r has no productions" % backbone.start)
 
-    n_user = len(backbone.productions)
-    aug = Production(n_user, "$accept", (backbone.start,), "$aug")
+    aug = Production(len(backbone.productions), "$accept", (backbone.start,), "$aug")
     productions = backbone.productions + (aug,)
     by_lhs: dict = {}
     for p in productions:
-        by_lhs.setdefault(p.lhs, []).append(p)
-    nonterminals = {p.lhs for p in productions}
+        by_lhs.setdefault(p.lhs, []).append(p.index)
     nullable = nullable_symbols(backbone)
     first = _first_sets(backbone, nullable)
 
-    def closure_lr0(kernel):
-        items = set(kernel)
-        work = list(kernel)
+    def closure(kernel: dict) -> dict:
+        """LR(1) closure of kernel items (item -> lookahead set), with the
+        lookaheads of each item merged into one set."""
+        items = {item: set(las) for item, las in kernel.items()}
+        work = list(items)
         while work:
-            prod_i, dot = work.pop()
+            prod_i, dot = item = work.pop()
             rhs = productions[prod_i].rhs
-            if dot < len(rhs) and rhs[dot] in nonterminals:
-                for p in by_lhs[rhs[dot]]:
-                    item = (p.index, 0)
-                    if item not in items:
-                        items.add(item)
-                        work.append(item)
+            if dot == len(rhs) or rhs[dot] not in by_lhs:
+                continue
+            las, transparent = _first_of_seq(rhs[dot + 1 :], first, nullable)
+            if transparent:
+                las |= items[item]
+            for index in by_lhs[rhs[dot]]:
+                new = (index, 0)
+                if new not in items:
+                    items[new] = set(las)
+                    work.append(new)
+                elif not las <= items[new]:
+                    items[new] |= las
+                    work.append(new)
         return items
 
-    # breadth-first construction of the LR(0) collection, kernels as keys
-    start_kernel = frozenset({(aug.index, 0)})
-    kernels = [start_kernel]
-    state_of = {start_kernel: 0}
+    # the LR(0) collection, breadth first with symbols sorted; a state's
+    # kernel maps its kernel items to their lookaheads, filled in below
+    kernels = [{(aug.index, 0): set()}]
+    state_of = {frozenset(kernels[0]): 0}
     transitions: dict = {}  # (state, symbol) -> state
-    head = 0
-    while head < len(kernels):
-        state = head
-        kernel = kernels[head]
-        head += 1
-        items = closure_lr0(kernel)
+    for state, kernel in enumerate(kernels):  # kernels grows as it is walked
         moves: dict = {}
-        for prod_i, dot in items:
+        for prod_i, dot in closure(kernel):
             rhs = productions[prod_i].rhs
             if dot < len(rhs):
                 moves.setdefault(rhs[dot], set()).add((prod_i, dot + 1))
         for sym in sorted(moves):
-            target_kernel = frozenset(moves[sym])
-            if target_kernel not in state_of:
-                state_of[target_kernel] = len(kernels)
-                kernels.append(target_kernel)
-            transitions[(state, sym)] = state_of[target_kernel]
+            target = frozenset(moves[sym])
+            if target not in state_of:
+                state_of[target] = len(kernels)
+                kernels.append({item: set() for item in target})
+            transitions[(state, sym)] = state_of[target]
 
-    # lookaheads: spontaneous generation and propagation between kernel items
-    DUMMY = object()
-    lookaheads: dict = {}  # (state, kernel item) -> set of labels
-    propagate: dict = {}  # (state, kernel item) -> set of (state, kernel item)
-    for state, kernel in enumerate(kernels):
-        for item in kernel:
-            lookaheads.setdefault((state, item), set())
-    lookaheads[(0, (aug.index, 0))].add(END_MARKER)
-
-    for state, kernel in enumerate(kernels):
-        for kitem in kernel:
-            # closure of [kitem, DUMMY] with lookaheads
-            seen = {(kitem, DUMMY)}
-            work = [(kitem, DUMMY)]
-            while work:
-                (prod_i, dot), la = work.pop()
-                rhs = productions[prod_i].rhs
-                if dot >= len(rhs):
-                    continue
-                sym = rhs[dot]
-                target = transitions.get((state, sym))
-                if target is not None:
-                    titem = (prod_i, dot + 1)
-                    if la is DUMMY:
-                        propagate.setdefault((state, kitem), set()).add((target, titem))
-                    else:
-                        lookaheads.setdefault((target, titem), set()).add(la)
-                if sym in nonterminals:
-                    rest = rhs[dot + 1 :]
-                    fs, transparent = _first_of_seq(rest, first, nullable)
-                    las = set(fs)
-                    if transparent:
-                        las.add(la)
-                    for p in by_lhs[sym]:
-                        for new_la in las:
-                            entry = ((p.index, 0), new_la)
-                            if entry not in seen:
-                                seen.add(entry)
-                                work.append(entry)
-
-    changed = True
-    while changed:
-        changed = False
-        for source, targets in propagate.items():
-            las = lookaheads.get(source, ())
-            for target in targets:
-                bucket = lookaheads.setdefault(target, set())
-                before = len(bucket)
+    # LALR(1) lookaheads as a least fixpoint: each unfinished item of a
+    # state's closure passes its lookaheads to its successor in the goto
+    # kernel, and a state whose kernel sets grew is closed again
+    kernels[0][(aug.index, 0)].add(END_MARKER)
+    closed = [None] * len(kernels)
+    pending = set(range(len(kernels)))
+    while pending:
+        state = pending.pop()
+        closed[state] = items = closure(kernels[state])
+        for (prod_i, dot), las in items.items():
+            rhs = productions[prod_i].rhs
+            if dot == len(rhs):
+                continue
+            target = transitions[(state, rhs[dot])]
+            bucket = kernels[target][(prod_i, dot + 1)]
+            if not las <= bucket:
                 bucket |= las
-                if len(bucket) != before:
-                    changed = True
+                pending.add(target)
 
-    # assemble actions and gotos
+    # actions: shifts from the transitions, reduces and accept from the
+    # finished items of each state's final closure
     actions: dict = {}
     gotos: dict = {}
-
-    def add_action(state, label, action):
-        key = (state, label)
-        actions[key] = actions.get(key, frozenset()) | {action}
-
     for (state, sym), target in transitions.items():
-        if sym in nonterminals:
+        if sym in by_lhs:
             gotos[(state, sym)] = target
         else:
-            add_action(state, sym, Action(SHIFT, target))
-
-    for state, kernel in enumerate(kernels):
-        # final items need full closure: completed items can be non-kernel
-        # (empty productions) whose lookaheads come from the predicting item
-        items = closure_lr0(kernel)
-        la_of: dict = {}
-        for item in kernel:
-            la_of[item] = lookaheads.get((state, item), set())
-        # recompute closure lookaheads from kernel lookaheads
-        work = [(item, la) for item in kernel for la in la_of[item]]
-        seen = set(work)
-        while work:
-            (prod_i, dot), la = work.pop()
-            rhs = productions[prod_i].rhs
-            if dot >= len(rhs) or rhs[dot] not in nonterminals:
+            actions.setdefault((state, sym), set()).add(Action(SHIFT, target))
+    for state, items in enumerate(closed):
+        for (prod_i, dot), las in items.items():
+            if dot < len(productions[prod_i].rhs):
                 continue
-            rest = rhs[dot + 1 :]
-            fs, transparent = _first_of_seq(rest, first, nullable)
-            las = set(fs)
-            if transparent:
-                las.add(la)
-            for p in by_lhs[rhs[dot]]:
-                for new_la in las:
-                    entry = ((p.index, 0), new_la)
-                    if entry not in seen:
-                        seen.add(entry)
-                        work.append(entry)
-        by_item: dict = {}
-        for (prod_i, dot), la in seen:
-            by_item.setdefault((prod_i, dot), set()).add(la)
-        for (prod_i, dot), las in by_item.items():
-            rhs = productions[prod_i].rhs
-            if dot < len(rhs):
-                continue
+            action = Action(ACCEPT) if prod_i == aug.index else Action(REDUCE, prod_i)
             for la in las:
-                if prod_i == aug.index:
-                    add_action(state, la, Action(ACCEPT))
-                else:
-                    add_action(state, la, Action(REDUCE, prod_i))
+                actions.setdefault((state, la), set()).add(action)
 
     return LalrTable(
         backbone_hash=backbone.content_hash(),
         n_states=len(kernels),
-        actions=actions,
+        actions={key: frozenset(acts) for key, acts in actions.items()},
         gotos=gotos,
         productions=productions,
     )
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# artifacts
 
 def dump_table(table: LalrTable, path):
+    """Write the table as text for inspection (compile -o); nothing reads it
+    back, since every command builds its table from the grammar."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("punclr-table v1\n")
         fh.write("backbone %s\n" % table.backbone_hash)
@@ -299,46 +235,12 @@ def dump_table(table: LalrTable, path):
             fh.write("goto %d %s %d\n" % (state, esc(sym), target))
 
 
-def load_table(path) -> LalrTable:
-    actions: dict = {}
-    gotos: dict = {}
-    productions: list = []
-    backbone_hash = None
-    n_states = 0
-    fields = {
-        "backbone": (str,),
-        "states": (int,),
-        # index lhs rule-id ':' rhs
-        "prod": (int, unesc, unesc, one_of("prod separator", ":"), unesc, ...),
-        "action": (int, unesc, ACTION_KIND, int),
-        "goto": (int, unesc, int),
-    }
-    for record, values in read_records(path, "table", fields):
-        if record == "backbone":
-            (backbone_hash,) = values
-        elif record == "states":
-            (n_states,) = values
-        elif record == "prod":
-            idx, lhs, rule_id, _, *rhs = values
-            productions.append(Production(idx, lhs, tuple(rhs), rule_id))
-        elif record == "action":
-            state, label, kind, arg = values
-            key = (state, label)
-            actions[key] = actions.get(key, frozenset()) | {Action(kind, arg)}
-        else:
-            state, sym, target = values
-            gotos[(state, sym)] = target
-    return LalrTable(backbone_hash, n_states, actions, gotos, tuple(productions))
-
-
 def read_records(path, kind: str, fields: dict, error=ValueError):
     """Yield (record name, converted values) for each line after the
-    "punclr-<kind> v1" header of a table, counts or model file.
+    "punclr-<kind> v1" header of a counts or model file.
 
-    fields maps a record name to its value converters; converters ending in
-    ``...`` accept any number of further fields, converted by the converter
-    before the ``...``.  A bad header or a malformed line raises error, with
-    the line number.
+    fields maps a record name to its value converters, one per field.  A bad
+    header or a malformed line raises error, with the line number.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -351,18 +253,13 @@ def read_records(path, kind: str, fields: dict, error=ValueError):
             converters = fields.get(parts[0])
             if converters is None:
                 raise error("line %d: unknown record %r" % (lineno, parts[0]))
-            tail = converters[-2] if converters[-1] is ... else None
-            fixed = converters[:-2] if tail else converters
-            found = len(parts) - 1
-            if found < len(fixed) or (found > len(fixed) and not tail):
+            if len(parts) - 1 != len(converters):
                 raise error(
-                    "line %d: %s record needs %s%d fields, found %d"
-                    % (lineno, parts[0], "at least " if tail else "", len(fixed), found)
+                    "line %d: %s record needs %d fields, found %d"
+                    % (lineno, parts[0], len(converters), len(parts) - 1)
                 )
             try:
-                values = [
-                    conv(x) for conv, x in zip(chain(fixed, repeat(tail)), parts[1:])
-                ]
+                values = [conv(x) for conv, x in zip(converters, parts[1:])]
             except FieldError as exc:
                 raise error("line %d: %s" % (lineno, exc)) from None
             except ValueError:
@@ -376,18 +273,13 @@ class FieldError(ValueError):
     """A field a read_records converter rejects, with the reason to report."""
 
 
-def one_of(what: str, *allowed: str):
-    """A read_records converter that accepts only the words allowed."""
-    def convert(field: str) -> str:
-        if field not in allowed:
-            raise FieldError(
-                "expected %s for the %s, found %r" % (" or ".join(allowed), what, field)
-            )
-        return field
-    return convert
-
-
-ACTION_KIND = one_of("action kind", SHIFT, REDUCE, ACCEPT)
+def action_kind(field: str) -> str:
+    """The read_records converter for an action kind."""
+    if field not in (SHIFT, REDUCE, ACCEPT):
+        raise FieldError(
+            "expected shift or reduce or accept for the action kind, found %r" % field
+        )
+    return field
 
 
 def esc(label: str) -> str:

@@ -94,12 +94,11 @@ def threshold_labels(token: TaggedToken, certainty: float = 0.9, ratio: float = 
     return TaggedToken(token.word, kept)
 
 
-def to_lattice(tokens, certainty: float = 0.9, ratio: float = 50.0, threshold: bool = True) -> SentenceLattice:
-    """TaggedTokens -> SentenceLattice, thresholding by default."""
+def to_lattice(tokens, certainty: float = 0.9, ratio: float = 50.0) -> SentenceLattice:
+    """TaggedTokens -> SentenceLattice, each token thresholded."""
     out = []
     for i, tok in enumerate(tokens):
-        if threshold:
-            tok = threshold_labels(tok, certainty, ratio)
+        tok = threshold_labels(tok, certainty, ratio)
         out.append(Token(tok.word, i, tok.hypotheses))
     return SentenceLattice(tuple(out))
 

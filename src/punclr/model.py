@@ -30,7 +30,7 @@ from .glr import (
     enumerate_derivations,
     walk_derivation,
 )
-from .lalr import ACTION_KIND, Action, LalrTable, esc, read_records, unesc
+from .lalr import Action, LalrTable, action_kind, esc, read_records, unesc
 
 
 class ModelError(Exception):
@@ -80,16 +80,6 @@ def train_counts(histories: Iterable, table_hash: str, weights=None) -> Transiti
             key = (state, lookahead, action)
             counts[key] = counts.get(key, 0.0) + w
     return TransitionCounts(counts, table_hash, total)
-
-
-def merge_counts(a: TransitionCounts, b: TransitionCounts) -> TransitionCounts:
-    """Counts form a commutative monoid, so per-worker partials merge freely."""
-    if a.table_hash != b.table_hash:
-        raise ModelError("cannot merge counts for different tables")
-    merged = dict(a.counts)
-    for k, v in b.counts.items():
-        merged[k] = merged.get(k, 0.0) + v
-    return TransitionCounts(merged, a.table_hash, a.total_histories + b.total_histories)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +504,7 @@ def save_counts(counts: TransitionCounts, path):
             )
 
 
-_TRANSITION = (int, unesc, ACTION_KIND, int, float)  # state, label, kind, arg, value
+_TRANSITION = (int, unesc, action_kind, int, float)  # state, label, kind, arg, value
 
 
 def load_counts(path) -> TransitionCounts:

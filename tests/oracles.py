@@ -300,6 +300,89 @@ def automaton_language(table, max_len):
     return out
 
 
+def lalr_by_core_merge(backbone, end_marker="$end"):
+    """The LALR(1) automaton the textbook way, sharing no code with
+    punclr.lalr: build the canonical LR(1) collection, whose items carry one
+    lookahead each, then merge the states with equal cores (item sets
+    without lookaheads).
+
+    Returns (start core, {(core, symbol): core}, {core: {lookahead: set of
+    ("reduce", production index) or ("accept", -1)}}).  Production indices
+    are the backbone's; the augmented production $accept -> start comes
+    last.
+    """
+    prods = [(p.lhs, p.rhs) for p in backbone.productions]
+    accept = len(prods)
+    prods.append(("$accept", (backbone.start,)))
+    nonterminals = {lhs for lhs, _ in prods}
+
+    nullable = set()
+    first = {}
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in prods:
+            out = first.setdefault(lhs, set())
+            size = len(out)
+            for sym in rhs:
+                out |= first.get(sym, set()) if sym in nonterminals else {sym}
+                if sym not in nullable:
+                    break
+            else:
+                if lhs not in nullable:
+                    nullable.add(lhs)
+                    changed = True
+            changed |= len(out) != size
+
+    def first_of(seq, la):
+        out = set()
+        for sym in seq:
+            out |= first.get(sym, set()) if sym in nonterminals else {sym}
+            if sym not in nullable:
+                return out
+        return out | {la}
+
+    def closure(items):
+        items = set(items)
+        work = list(items)
+        while work:
+            prod, dot, la = work.pop()
+            rhs = prods[prod][1]
+            if dot < len(rhs) and rhs[dot] in nonterminals:
+                for b in first_of(rhs[dot + 1 :], la):
+                    for q, (lhs, _) in enumerate(prods):
+                        if lhs == rhs[dot] and (q, 0, b) not in items:
+                            items.add((q, 0, b))
+                            work.append((q, 0, b))
+        return frozenset(items)
+
+    def core(state):
+        return frozenset((prod, dot) for prod, dot, _ in state)
+
+    start = closure({(accept, 0, end_marker)})
+    states = {start}
+    work = [start]
+    transitions = {}
+    finals = {}
+    while work:
+        state = work.pop()
+        moves = {}
+        for prod, dot, la in state:
+            rhs = prods[prod][1]
+            if dot < len(rhs):
+                moves.setdefault(rhs[dot], set()).add((prod, dot + 1, la))
+            else:
+                action = ("accept", -1) if prod == accept else ("reduce", prod)
+                finals.setdefault(core(state), {}).setdefault(la, set()).add(action)
+        for sym, kernel in moves.items():
+            target = closure(kernel)
+            transitions[(core(state), sym)] = core(target)
+            if target not in states:
+                states.add(target)
+                work.append(target)
+    return core(start), transitions, finals
+
+
 def tree_spans(tree, pos=0):
     """Spans of every internal node of an oracle tree, leftmost-outward."""
     if tree[0] == "leaf":

@@ -1,6 +1,8 @@
 import hashlib
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -212,6 +214,115 @@ def test_parse_dump_forest_writes_files(capsys, tmp_path):
     assert "trans=" in dumps[0].read_text()
 
 
+def test_parse_dump_forest_same_for_any_jobs(capsys, tmp_path):
+    sent = _tagged(tmp_path, "a|a:1.0 a|a:1.0\na|a:1.0 b|b:1.0\n"
+                             + "a|a:1.0 " * 5 + "\nb|b:1.0\n" + "a|a:1.0 " * 7 + "\n")
+    dumps = {}
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / ("jobs" + jobs)
+        code, out, err = run(capsys, "parse", "--grammar", FIXTURES / "catalan.gr",
+                             "--jobs", jobs, "--format", "tsv", sent, "--dump-forest", out_dir)
+        assert code == 0, err
+        ok = [row.split("\t")[0] for row in out.splitlines()[1:] if "\tok\t" in row]
+        assert ok == ["0", "2", "4"]
+        dumps[jobs] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(dumps[jobs]) == ["sentence%03d.forest" % int(i) for i in ok]
+    assert dumps["1"] == dumps["2"]
+
+
+# two reduces share each cell after an 'a': their order once followed the
+# frozenset of actions, and so the hash seed
+TWO_REDUCES = "%start S\nS -> A ;\nS -> B ;\nS -> S S ;\nA -> 'a' ;\nB -> 'a' ;\n"
+
+
+def test_parse_output_independent_of_hash_seed(tmp_path):
+    grammar = tmp_path / "two.gr"
+    grammar.write_text(TWO_REDUCES)
+    sent = _tagged(tmp_path, "a|a:1.0 a|a:1.0 a|a:1.0\n")
+    src = str(FIXTURES.parent / "src")
+    digests = set()
+    for seed in range(1, 17):
+        out_dir = tmp_path / ("seed%d" % seed)
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "punclr.cli", "parse", "--grammar", str(grammar),
+             "--dump-forest", str(out_dir), str(sent)],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout)
+        for path in sorted(out_dir.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        digests.add(digest.hexdigest())
+    assert len(digests) == 1
+
+
+def _catalan_gold(tmp_path, n):
+    """A gold file of a right-branching n-leaf catalan tree, then (X a a)."""
+    tree = "a"
+    for _ in range(n - 1):
+        tree = "(X a %s)" % tree
+    gold = tmp_path / "gold.tb"
+    gold.write_text(tree + "\n(X a a)\n")
+    return gold
+
+
+def test_eval_timeout_covers_ranking(capsys, tmp_path):
+    from punclr.cli import load_artifacts, train_model_from_treebanks
+    from punclr.glr import lattice_from_labels, parse_lattice
+    from punclr.model import rank_nbest, save_model
+
+    artifacts = load_artifacts(FIXTURES / "catalan.gr")
+    _, trained, _ = train_model_from_treebanks(
+        artifacts, [FIXTURES / "catalan_train.tb"], [1.0])
+    model = tmp_path / "m.model"
+    save_model(trained, model)
+    lattice = lattice_from_labels(["a"] * 40)
+    parse_s, rank_s = [], []
+    for _ in range(3):
+        outcome = parse_lattice(lattice, artifacts[3], artifacts[2])
+        parse_s.append(outcome.cpu_seconds)
+        t0 = time.process_time()
+        rank_nbest(outcome.forest, trained, 1)
+        rank_s.append(time.process_time() - t0)
+    # enough time to parse the 40-leaf tree, not enough to rank it too
+    timeout = min(parse_s) + min(rank_s) / 2
+    argv = ["eval", "--grammar", FIXTURES / "catalan.gr", "--model", model,
+            "--gold", _catalan_gold(tmp_path, 40), "--format", "tsv"]
+    code, out, err = run(capsys, *argv, "--timeout", repr(timeout))
+    assert code == 0, err
+    assert out.endswith("unparsed sentences: 1\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "unparsed" not in out
+
+
+def test_eval_ranking_budget_is_what_parsing_left(monkeypatch, tmp_path):
+    from punclr import cli
+
+    budgets = []
+
+    def rank_out_of_time(forest, model, n, budget=None):
+        budgets.append(budget)
+        raise cli.RankTimeout("out of time")
+
+    artifacts = cli.load_artifacts(FIXTURES / "catalan.gr")
+    gold = [t for _, t in cli.read_treebank(_catalan_gold(tmp_path, 3))]
+    parses = []
+    real_parse = cli.parse_lattice
+
+    def parse(*args, **kwargs):
+        parses.append(real_parse(*args, **kwargs))
+        return parses[-1]
+
+    monkeypatch.setattr(cli, "parse_lattice", parse)
+    monkeypatch.setattr(cli, "rank_nbest", rank_out_of_time)
+    with pytest.raises(cli.DataError, match="no gold sentence could be parsed"):
+        cli.evaluate_against_gold(artifacts, gold, model=object(), timeout=5.0)
+    assert budgets == [5.0 - outcome.cpu_seconds for outcome in parses]
+
+
 def _tagged(tmp_path, text):
     p = tmp_path / "input.txt"
     p.write_text(text)
@@ -266,18 +377,32 @@ def test_rank_malformed_model_exits_2_with_line_number(capsys, tmp_path):
     assert "line 3: blank line" in err
 
 
-def test_parse_malformed_table_exits_2_with_line_number(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["parse", "stats", "rank"])
+def test_table_option_is_usage_error(capsys, tmp_path, command):
+    # every command builds its table from the grammar, so there is no table
+    # file to pass
     table = tmp_path / "catalan.tbl"
     run(capsys, "compile", FIXTURES / "catalan.gr", "-o", table)
-    lines = table.read_text().splitlines(keepends=True)
-    table.write_text("".join(lines[:3] + ["action 1\n"] + lines[3:]))
-    sent = tmp_path / "s.txt"
-    sent.write_text("a|a:1.0 a|a:1.0\n")
+    sent = _tagged(tmp_path, "a|a:1.0 a|a:1.0\n")
+    model = ["--model", table] if command == "rank" else []
     code, out, err = run(
-        capsys, "parse", "--grammar", FIXTURES / "catalan.gr", "--table", table, sent,
+        capsys, command, "--grammar", FIXTURES / "catalan.gr", *model, "--table", table, sent,
     )
+    assert code == 1
+    assert "--table" in err
+
+
+@pytest.mark.parametrize("command", ["compile", "parse"])
+def test_unproductive_grammar_exits_2_naming_the_symbol(capsys, tmp_path, command):
+    grammar = tmp_path / "loop.gr"
+    grammar.write_text("%start S\nS -> 'a' ;\nS -> 'a' L ;\nL -> L 'b' ;\n")
+    if command == "compile":
+        argv = ["compile", grammar]
+    else:
+        argv = ["parse", "--grammar", grammar, _tagged(tmp_path, "a|a:1.0\n")]
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "line 4: action record needs 4 fields, found 1" in err
+    assert "derive no terminal string: 'L'" in err
 
 
 def test_rank_deep_chain_exits_0(capsys, tmp_path):
@@ -336,27 +461,21 @@ def test_train_deep_left_branching_tree(capsys, tmp_path):
 @pytest.mark.parametrize(
     "command, replacement, message",
     [
-        ("parse", "action 0 a bogus 2\n", "line 4: expected shift or reduce or accept"),
-        ("parse", "prod 0 $aug $aug = X\n", "line 4: expected : for the prod separator"),
         ("rank", "prob 0 a bogus 2 0.5\n", "line 4: expected shift or reduce or accept"),
     ],
 )
 def test_unknown_action_kind_or_separator_exits_2(capsys, tmp_path, command, replacement,
                                                    message):
     grammar = FIXTURES / "catalan.gr"
-    artifact = tmp_path / "artifact"
-    if command == "parse":
-        run(capsys, "compile", grammar, "-o", artifact)
-    else:
-        run(capsys, "train", "--grammar", grammar,
-            "--treebank", FIXTURES / "catalan_train.tb", "--model-out", artifact)
-    lines = artifact.read_text().splitlines(keepends=True)
+    model = tmp_path / "m.model"
+    run(capsys, "train", "--grammar", grammar,
+        "--treebank", FIXTURES / "catalan_train.tb", "--model-out", model)
+    lines = model.read_text().splitlines(keepends=True)
     lines[3] = replacement
-    artifact.write_text("".join(lines))
+    model.write_text("".join(lines))
     sent = tmp_path / "s.txt"
     sent.write_text("a|a:1.0 a|a:1.0\n")
-    option = "--table" if command == "parse" else "--model"
-    code, out, err = run(capsys, command, "--grammar", grammar, option, artifact, sent)
+    code, out, err = run(capsys, command, "--grammar", grammar, "--model", model, sent)
     assert code == 2
     assert message in err
 

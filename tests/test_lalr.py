@@ -1,6 +1,9 @@
-from punclr.grammar import END_MARKER, compile_grammar, parse_grammar_file
-from punclr.lalr import ACCEPT, REDUCE, SHIFT, build_lalr, dump_table, load_table, lookup_actions
-from oracles import language_of_backbone
+import random
+
+from conftest import FIXTURES, compile_fixture
+from punclr.grammar import END_MARKER, GrammarError, compile_grammar, parse_grammar_file
+from punclr.lalr import ACCEPT, REDUCE, SHIFT, build_lalr, lookup_actions
+from oracles import lalr_by_core_merge, language_of_backbone
 
 
 def table_for(text):
@@ -174,19 +177,82 @@ def test_construction_deterministic():
     assert t1.table_hash() == t2.table_hash()
 
 
-def test_round_trip_serialization(tmp_path):
-    table, _, _ = table_for(EXPR)
-    path = tmp_path / "expr.tbl"
-    dump_table(table, path)
-    loaded = load_table(path)
-    assert loaded.actions == table.actions
-    assert loaded.gotos == table.gotos
-    assert loaded.backbone_hash == table.backbone_hash
-    assert loaded.productions == table.productions
-    assert loaded.table_hash() == table.table_hash()
-
-
 def test_action_count_counts_all_actions():
     table, _, _ = table_for("%start S\nS -> A ;\nS -> B ;\nA -> 'a' ;\nB -> 'a' ;\n")
     assert table.action_count == sum(len(v) for v in table.actions.values())
     assert table.action_count >= table.n_states - 1
+
+
+def random_grammar_text(rng):
+    """A small random grammar over S A B C and 'a' 'b', with Kleene marks."""
+    nonterminals = ["S", "A", "B", "C"][: rng.randint(2, 4)]
+    symbols = nonterminals + ["'a'", "'b'"]
+    lines = ["%start S"]
+    for lhs in nonterminals:
+        for _ in range(rng.randint(1, 3)):
+            daughters = [
+                rng.choice(symbols) + rng.choice(["", "", "", "", "*", "+"])
+                for _ in range(rng.randint(1, 3))
+            ]
+            lines.append("%s -> %s ;" % (lhs, " ".join(daughters)))
+    return "\n".join(lines) + "\n"
+
+
+def aligned_states(table, start, transitions):
+    """Pair each table state with an oracle core by walking both automata
+    from their start states; every shift and goto must match a transition."""
+    pairs = {table.start_state: start}
+    work = [table.start_state]
+    while work:
+        state = work.pop()
+        moves = {sym: target for (s, sym), target in table.gotos.items() if s == state}
+        for (s, label), acts in table.actions.items():
+            for a in acts:
+                if s == state and a.kind == SHIFT:
+                    moves[label] = a.arg
+        expected = {sym: t for (c, sym), t in transitions.items() if c == pairs[state]}
+        assert set(moves) == set(expected)
+        for sym, target in moves.items():
+            if target not in pairs:
+                pairs[target] = expected[sym]
+                work.append(target)
+            assert pairs[target] == expected[sym]
+    assert len(pairs) == table.n_states == len(set(pairs.values()))
+    return pairs
+
+
+def finished_actions(table, state):
+    out = {}
+    for (s, label), acts in table.actions.items():
+        for a in acts:
+            if s == state and a.kind != SHIFT:
+                out.setdefault(label, set()).add((a.kind, a.arg))
+    return out
+
+
+def test_reduces_equal_canonical_lr1_core_merge_on_random_grammars():
+    rng = random.Random(20261018)
+    checked = with_empty = with_rr_conflict = 0
+    while checked < 500:
+        try:
+            backbone, _ = compile_grammar(parse_grammar_file(random_grammar_text(rng)))
+        except GrammarError:
+            continue  # undefined symbols, unit cycles or unproductive rules
+        table = build_lalr(backbone)
+        start, transitions, finals = lalr_by_core_merge(backbone)
+        for state, core in aligned_states(table, start, transitions).items():
+            assert finished_actions(table, state) == finals.get(core, {})
+        checked += 1
+        with_empty += any(not p.rhs for p in backbone.productions)
+        with_rr_conflict += any(
+            sum(a.kind == REDUCE for a in acts) > 1 for acts in table.actions.values()
+        )
+    assert with_empty >= 250 and with_rr_conflict >= 150, (with_empty, with_rr_conflict)
+
+
+def test_fixture_tables_equal_canonical_lr1_core_merge():
+    for path in sorted(FIXTURES.glob("*.gr")):
+        _, backbone, _, table = compile_fixture(path.name)
+        start, transitions, finals = lalr_by_core_merge(backbone)
+        for state, core in aligned_states(table, start, transitions).items():
+            assert finished_actions(table, state) == finals.get(core, {}), path.name

@@ -9,7 +9,7 @@ from punclr import cli, glr, model as model_module
 from punclr.cli import train_from_trees, train_model_from_treebanks
 from punclr.evalmetrics import extract_brackets
 from punclr.grammar import compile_grammar, parse_grammar_file
-from punclr.lalr import build_lalr, dump_table, load_table
+from punclr.lalr import build_lalr
 from punclr.glr import (
     count_parses,
     derivation_signature,
@@ -30,7 +30,6 @@ from punclr.model import (
     good_turing_adjusted_count,
     load_counts,
     load_model,
-    merge_counts,
     rank_nbest,
     save_counts,
     save_model,
@@ -329,18 +328,6 @@ def test_fractional_histories_from_forest():
     assert counts.total_histories == 1.0
 
 
-def test_merge_counts_commutative_monoid():
-    table, residues = setup_catalan()
-    histories, _ = branchy_histories(table, residues)
-    c1 = train_counts(histories[:2], table.table_hash())
-    c2 = train_counts(histories[2:], table.table_hash())
-    merged = merge_counts(c1, c2)
-    direct = train_counts(histories, table.table_hash())
-    assert merged.counts == direct.counts
-    other = merge_counts(c2, c1)
-    assert other.counts == merged.counts
-
-
 def test_counts_and_model_round_trip(tmp_path):
     table, residues = setup_catalan()
     histories, _ = branchy_histories(table, residues)
@@ -387,6 +374,8 @@ def _corrupt(path, lineno, replacement):
         ("model", "unseen zero a 0.5\n", "line 4: non-numeric field"),
         ("model", "prob 0 a Shift 1 0.5\n",
          "line 4: expected shift or reduce or accept for the action kind, found 'Shift'"),
+        ("model", "shift 0 a\n", "line 4: unknown record 'shift'"),
+        ("counts", "histories 4 5\n", "line 4: histories record needs 1 fields, found 2"),
     ],
 )
 def test_malformed_line_raises_model_error(tmp_path, reader, replacement, message):
@@ -395,30 +384,6 @@ def test_malformed_line_raises_model_error(tmp_path, reader, replacement, messag
     _corrupt(path, 4, replacement)
     with pytest.raises(ModelError, match="^" + message):
         load(path)
-
-
-@pytest.mark.parametrize(
-    "replacement, message",
-    [
-        ("\n", "line 4: blank line"),
-        ("action 1\n", "line 4: action record needs 4 fields, found 1"),
-        ("prod 0 X\n", "line 4: prod record needs at least 4 fields, found 2"),
-        ("goto 0 X x\n", "line 4: non-numeric field"),
-        ("states 4 5\n", "line 4: states record needs 1 fields, found 2"),
-        ("shift 0 a\n", "line 4: unknown record 'shift'"),
-        ("action 0 a bogus 2\n",
-         "line 4: expected shift or reduce or accept for the action kind, found 'bogus'"),
-        ("prod 0 $aug $aug -> X\n", "line 4: expected : for the prod separator, found '->'"),
-    ],
-)
-def test_malformed_table_line_raises(tmp_path, replacement, message):
-    table, _ = setup_catalan()
-    path = tmp_path / "t.tbl"
-    dump_table(table, path)
-    assert load_table(path).table_hash() == table.table_hash()
-    _corrupt(path, 4, replacement)
-    with pytest.raises(ValueError, match="^" + message):
-        load_table(path)
 
 
 # ---------------------------------------------------------------------------
