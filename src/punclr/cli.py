@@ -11,7 +11,6 @@ import argparse
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,7 +101,11 @@ def _parse_one(job):
 
 def _run_parses(args, lattices, artifacts, dump_dir=None):
     jobs = [(i, lat, args.timeout, dump_dir) for i, lat in enumerate(lattices)]
-    if getattr(args, "jobs", 1) and args.jobs > 1:
+    if args.jobs > 1:
+        # imported here: importing the pool costs every process about 40 ms
+        # and 2.5 MB, and only --jobs > 1 uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=args.jobs,
             initializer=_init_worker,
@@ -484,20 +487,36 @@ def cmd_ablate(args):
 
 # ---------------------------------------------------------------------------
 
+def _bounded(convert, ok, requirement):
+    """An argparse type: convert the text, then reject a value failing ok."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("must be %s, not %s" % (requirement, text))
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_arg_parser():
     top = _Parser(prog="punclr", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    count = _bounded(int, lambda v: v >= 1, "at least 1")
+    seconds = _bounded(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+    certainty = _bounded(float, lambda v: 0 < v <= 1, "in (0, 1]")
+    ratio = _bounded(float, lambda v: v >= 1, "at least 1")
 
     def common_io(p):
         p.add_argument("--format", choices=("human", "tsv"), default="human")
 
     def common_parse(p):
         p.add_argument("--grammar", required=True)
-        p.add_argument("--timeout", type=float, default=30.0,
+        p.add_argument("--timeout", type=seconds, default=30.0,
                        help="per-sentence CPU budget in seconds (for rank, "
                             "parse and ranking together)")
-        p.add_argument("--certainty", type=float, default=0.9)
-        p.add_argument("--ratio", type=float, default=50.0)
+        p.add_argument("--certainty", type=certainty, default=0.9)
+        p.add_argument("--ratio", type=ratio, default=50.0)
         p.add_argument("--plain", action="store_true",
                        help="input is word_LABEL tokens, likelihood 1.0")
 
@@ -510,7 +529,7 @@ def build_arg_parser():
     p = sub.add_parser("parse", help="parse tagged sentences, count analyses")
     common_parse(p)
     p.add_argument("input")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=count, default=1)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--dump-forest", metavar="DIR")
@@ -533,7 +552,7 @@ def build_arg_parser():
     common_parse(p)
     p.add_argument("input")
     p.add_argument("--model", required=True)
-    p.add_argument("--nbest", type=int, default=1)
+    p.add_argument("--nbest", type=count, default=1)
     p.add_argument("--tag-likelihoods", action="store_true",
                    help="fold tag likelihoods into analysis scores")
     p.add_argument("--strict", action="store_true")
@@ -545,7 +564,7 @@ def build_arg_parser():
     p.add_argument("--model")
     p.add_argument("--gold", required=True)
     p.add_argument("--parsed", help="evaluate these trees instead of parsing")
-    p.add_argument("--timeout", type=float, default=30.0,
+    p.add_argument("--timeout", type=seconds, default=30.0,
                    help="per-sentence CPU budget in seconds, for parse and "
                         "ranking together")
     common_io(p)
@@ -554,7 +573,7 @@ def build_arg_parser():
     p = sub.add_parser("stats", help="coverage and ambiguity distribution")
     common_parse(p)
     p.add_argument("input")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=count, default=1)
     common_io(p)
     p.set_defaults(func=cmd_stats)
 
@@ -562,7 +581,7 @@ def build_arg_parser():
     p.add_argument("--grammar", required=True)
     p.add_argument("--treebank", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=count, default=5)
     p.add_argument("--seed", type=int, default=0)
     common_io(p)
     p.set_defaults(func=cmd_ablate)
@@ -578,10 +597,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (DataError, ModelError, GrammarError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DataError, ModelError, GrammarError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

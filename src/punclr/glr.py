@@ -11,13 +11,19 @@ bundles, at the cost of somewhat less packing.
 Multiple label hypotheses per token are handled by running the reduce
 closure once per pending label: reductions triggered under one hypothesis
 must not feed stack branches that continue with a different one.
+
+Each GSS edge carries the forest node of the symbol it spans; reductions read
+child residues and keys off the popped edges.  Nothing is deduplicated, as
+nothing repeats: a forest key fixes the stack node beneath, the goto and the
+closure, so only a new forest node brings a new edge; a stack node's reduces
+are queued once bare and once per edge; and a path, popped once, differs from
+every other path into its forest node in some child.
 """
 from __future__ import annotations
 
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from math import prod
 from typing import Optional
 
@@ -70,14 +76,14 @@ def lattice_from_labels(labels) -> SentenceLattice:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bundle:
     production: int  # -1 for the virtual root (accept) bundle
     children: tuple  # forest node keys, left to right
     transition: tuple  # (state, lookahead, Action)
 
 
-@dataclass
+@dataclass(slots=True)
 class ForestLeaf:
     key: tuple
     label: str
@@ -85,6 +91,8 @@ class ForestLeaf:
     position: int
     likelihood: float
     transition: tuple
+
+    residue = ()  # not a field: a leaf carries no features
 
     @property
     def start(self):
@@ -95,7 +103,7 @@ class ForestLeaf:
         return self.position + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class ForestNode:
     key: tuple
     symbol: str
@@ -141,29 +149,28 @@ class ParseOutcome:
 
 
 class _GssNode:
-    __slots__ = ("state", "position", "serial", "edges", "_edge_keys")
+    __slots__ = ("state", "position", "serial", "edges")
 
     def __init__(self, state, position, serial):
         self.state = state
         self.position = position
         self.serial = serial  # deterministic creation index, part of forest keys
-        self.edges = []  # (target _GssNode, forest key)
-        self._edge_keys = set()
-
-    def add_edge(self, target, forest_key) -> bool:
-        key = (id(target), forest_key)
-        if key in self._edge_keys:
-            return False
-        self._edge_keys.add(key)
-        self.edges.append((target, forest_key))
-        return True
+        self.edges = []  # (_GssNode beneath, ForestNode or ForestLeaf on the edge)
 
 
-def _crosses(start, end, skeleton):
+def _bracket_tables(skeleton, n):
+    """Per position p, over the brackets (a, b) with a < p < b: the largest
+    a and the smallest b.  Span (i, j) crosses a bracket exactly when
+    last_open[j] > i or first_close[i] < j."""
+    last_open = [-1] * (n + 1)
+    first_close = [n + 1] * (n + 1)
     for a, b in skeleton:
-        if start < a < end < b or a < start < b < end:
-            return True
-    return False
+        for p in range(a + 1, b):
+            if a > last_open[p]:
+                last_open[p] = a
+            if b < first_close[p]:
+                first_close[p] = b
+    return last_open, first_close
 
 
 def parse_lattice(
@@ -175,16 +182,16 @@ def parse_lattice(
 ) -> ParseOutcome:
     """Parse a sentence lattice into a packed forest of root-spanning analyses.
 
-    skeleton, when given, is a collection of (start, end) spans; reductions
-    whose span would cross one are pruned, which implements bracket-
-    constrained parsing.
+    skeleton, when given, is a collection of (start, end) spans within the
+    sentence; reductions whose span would cross one are pruned, which
+    implements bracket-constrained parsing.
 
     Returns fail(no-analysis) when no branch reaches accept and timeout when
     the CPU budget runs out (only if one was set).
     """
     t0 = time.process_time()
     n = len(lattice)
-    skeleton = tuple(skeleton) if skeleton else ()
+    last_open, first_close = _bracket_tables(skeleton or (), n)
     rows = table.rows
     featureless = {
         index for index, spec in residues.items()
@@ -195,7 +202,6 @@ def parse_lattice(
     # depends on nothing else
     residue_memo: dict = {}
     forest_nodes: dict = {}
-    bundle_keys: set = set()
     root_bundles: list = []
     start_symbol = None
     for p in table.productions:
@@ -220,24 +226,17 @@ def parse_lattice(
         else:
             label_items = ((END_MARKER, 1.0),)
             word = ""
+        crossed = last_open[j]
         next_frontier: dict = {}
         for label, likelihood in label_items:
             local: dict = {}
             tasks = deque()
-            seen_tasks: set = set()
 
             def enqueue(node, edge):
-                """Queue reduce work for node, restricted to paths through
-                edge when edge is not None."""
+                """Queue node's empty reduces when edge is None, else those
+                of arity > 0 over the paths whose first step is edge."""
                 for action, arity in rows.get((node.state, label), EMPTY_ROW)[0]:
-                    if arity == 0 and edge is None:
-                        key = (id(node), action.arg, None)
-                    elif arity > 0 and edge is not None:
-                        key = (id(node), action.arg, id(edge[0]), edge[1])
-                    else:
-                        continue
-                    if key not in seen_tasks:
-                        seen_tasks.add(key)
+                    if (arity == 0) == (edge is None):
                         tasks.append((node, action, arity, edge))
 
             for node in frontier.values():
@@ -252,21 +251,18 @@ def parse_lattice(
                     )
                 node, action, arity, first_edge = tasks.popleft()
                 prod = table.productions[action.arg]
-                for path_edges, bottom in _pop_paths(node, arity, first_edge):
+                lhs = prod.lhs
+                featured = prod.index not in featureless
+                transition = (node.state, label, action)
+                for kids, bottom in _pop_paths(node, arity, first_edge):
                     span_start = bottom.position
-                    if skeleton and _crosses(span_start, j, skeleton):
+                    if skeleton and (crossed > span_start or first_close[span_start] < j):
                         continue
-                    goto = table.gotos.get((bottom.state, prod.lhs))
+                    goto = table.gotos.get((bottom.state, lhs))
                     if goto is None:
                         continue
-                    children = tuple([fk for _, fk in reversed(path_edges)])
-                    if prod.index in featureless:
-                        mother = sig = ()
-                    else:
-                        child_res = tuple(
-                            child.residue if isinstance(child, ForestNode) else ()
-                            for child in map(forest_nodes.__getitem__, children)
-                        )
+                    if featured:
+                        child_res = tuple([kid.residue for kid in kids])
                         memo_key = (prod.index, child_res)
                         reduced = residue_memo.get(memo_key, False)
                         if reduced is False:
@@ -278,37 +274,37 @@ def parse_lattice(
                         if reduced is None:
                             continue
                         mother, sig = reduced
+                    else:
+                        mother = sig = ()
                     # keyed by the GSS node beneath (serial), not merely its
                     # state: same-state nodes from different label closures
                     # have different continuations and must not be conflated
-                    fkey = ("n", prod.lhs, span_start, j, bottom.serial,
-                            bottom.state, sig, label)
+                    fkey = ("n", lhs, span_start, j, bottom.serial, bottom.state, sig, label)
                     fnode = forest_nodes.get(fkey)
                     if fnode is None:
-                        fnode = ForestNode(fkey, prod.lhs, span_start, j, mother)
-                        forest_nodes[fkey] = fnode
-                    bkey = (fkey, prod.index, children)
-                    if bkey not in bundle_keys:
-                        bundle_keys.add(bkey)
-                        fnode.bundles.append(
-                            Bundle(prod.index, children, (node.state, label, action))
-                        )
-                    target = local.get(goto)
-                    if target is None:
-                        target = _GssNode(goto, j, next(serials))
-                        local[goto] = target
-                        target.add_edge(bottom, fkey)
-                        enqueue(target, None)
-                        enqueue(target, target.edges[0])
-                    elif target.add_edge(bottom, fkey):
-                        enqueue(target, target.edges[-1])
+                        # only a new forest node brings a new edge (see the
+                        # module docstring)
+                        fnode = forest_nodes[fkey] = ForestNode(fkey, lhs, span_start, j, mother)
+                        edge = (bottom, fnode)
+                        target = local.get(goto)
+                        if target is None:
+                            target = local[goto] = _GssNode(goto, j, next(serials))
+                            target.edges.append(edge)
+                            enqueue(target, None)
+                        else:
+                            target.edges.append(edge)
+                        enqueue(target, edge)
+                    fnode.bundles.append(
+                        Bundle(prod.index, tuple([kid.key for kid in kids]), transition)
+                    )
 
             if j < n:
                 for node in list(frontier.values()) + list(local.values()):
                     for action in rows.get((node.state, label), EMPTY_ROW)[1]:
                         leaf_key = ("t", j, label, node.state)
-                        if leaf_key not in forest_nodes:
-                            forest_nodes[leaf_key] = ForestLeaf(
+                        leaf = forest_nodes.get(leaf_key)
+                        if leaf is None:
+                            leaf = forest_nodes[leaf_key] = ForestLeaf(
                                 leaf_key, label, word, j, likelihood,
                                 (node.state, label, action),
                             )
@@ -316,20 +312,17 @@ def parse_lattice(
                         if target is None:
                             target = _GssNode(action.arg, j + 1, next(serials))
                             next_frontier[action.arg] = target
-                        target.add_edge(node, leaf_key)
+                        target.edges.append((node, leaf))
             else:
                 for node in list(frontier.values()) + list(local.values()):
                     action = rows.get((node.state, END_MARKER), EMPTY_ROW)[2]
                     if action is None:
                         continue
-                    for target, fkey in node.edges:
-                        if target is initial and fkey[1] == start_symbol:
-                            bkey = (ROOT_KEY, -1, (fkey,))
-                            if bkey not in bundle_keys:
-                                bundle_keys.add(bkey)
-                                root_bundles.append(
-                                    Bundle(-1, (fkey,), (node.state, END_MARKER, action))
-                                )
+                    for target, child in node.edges:
+                        if target is initial and child.key[1] == start_symbol:
+                            root_bundles.append(
+                                Bundle(-1, (child.key,), (node.state, END_MARKER, action))
+                            )
         if j < n and not next_frontier:
             return fail("no shift possible at token %d" % j)
         if j < n:
@@ -363,49 +356,38 @@ def _has_var(features) -> bool:
 
 
 def _pop_paths(node, arity, first_edge):
-    """Paths of `arity` edges downward from node; when first_edge is given,
-    only paths whose first step is that edge (new-edge retriggering)."""
+    """The reduce paths of `arity` edges down from node, as (child forest
+    nodes left to right, GSS node beneath): for arity 0 the empty path, else
+    the paths whose first step is first_edge, extended one edge at a time."""
     if arity == 0:
-        return [((), node)]
-    out = []
-
-    def rec(current, depth, acc):
-        if depth == arity:
-            out.append((tuple(acc), current))
-            return
-        for edge in current.edges:
-            acc.append(edge)
-            rec(edge[0], depth + 1, acc)
-            acc.pop()
-
-    if first_edge is not None:
-        rec(first_edge[0], 1, [first_edge])
-    else:
-        rec(node, 0, [])
-    return out
+        return (((), node),)
+    paths = [((first_edge[1],), first_edge[0])]
+    for _ in range(arity - 1):
+        paths = [((child,) + kids, below)
+                 for kids, current in paths for below, child in current.edges]
+    return paths
 
 
 def _children_first(forest_nodes):
-    """The nodes reachable from the root, in post-order: depth-first with
-    an explicit stack of (key, iterator over its child keys)."""
+    """The nodes reachable from the root, in post-order: depth first, with
+    a stack of keys still to visit where each node, once entered, waits
+    beneath its unplaced children until they are placed."""
     order = {}
-    stack = [(ROOT_KEY, _child_keys(forest_nodes[ROOT_KEY]))]
+    stack = [ROOT_KEY]
     while stack:
-        key, pending = stack[-1]
-        for child_key in pending:
-            if child_key not in order:
-                stack.append((child_key, _child_keys(forest_nodes[child_key])))
-                break
-        else:
-            stack.pop()
-            order[key] = forest_nodes[key]
+        item = stack.pop()
+        if type(item) is not tuple:
+            order[item.key] = item
+        elif item not in order:
+            node = forest_nodes[item]
+            if isinstance(node, ForestLeaf):
+                order[item] = node
+                continue
+            stack.append(node)
+            pending = [c for b in node.bundles for c in b.children if c not in order]
+            pending.reverse()
+            stack.extend(pending)
     return order
-
-
-def _child_keys(node):
-    if isinstance(node, ForestLeaf):
-        return iter(())
-    return chain.from_iterable(b.children for b in node.bundles)
 
 
 def constrained_parse(

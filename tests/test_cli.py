@@ -539,3 +539,63 @@ def test_train_outputs_pinned(capsys, tmp_path, case):
     assert code == 0, err
     outputs = (model.read_bytes(), counts.read_bytes(), out.encode())
     assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in outputs) == digests
+
+
+@pytest.mark.parametrize("command", ["parse", "compile", "train"])
+def test_unreadable_path_exits_2_without_traceback(capsys, tmp_path, command):
+    argv = {
+        "parse": ["parse", "--grammar", FIXTURES / "catalan.gr", tmp_path],
+        "compile": ["compile", tmp_path],
+        "train": ["train", "--grammar", FIXTURES / "catalan.gr",
+                  "--treebank", FIXTURES / "catalan_train.tb", "--model-out", tmp_path],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("rank", "--nbest", "0", "argument --nbest: must be at least 1, not 0"),
+        ("parse", "--jobs", "0", "argument --jobs: must be at least 1, not 0"),
+        ("stats", "--jobs", "-2", "argument --jobs: must be at least 1, not -2"),
+        ("parse", "--timeout", "nan", "argument --timeout: must be finite and positive"),
+        ("rank", "--timeout", "-1", "argument --timeout: must be finite and positive"),
+        ("eval", "--timeout", "inf", "argument --timeout: must be finite and positive"),
+        ("parse", "--ratio", "0.5", "argument --ratio: must be at least 1, not 0.5"),
+        ("stats", "--ratio", "nan", "argument --ratio: must be at least 1, not nan"),
+        ("parse", "--certainty", "0", "argument --certainty: must be in (0, 1], not 0"),
+        ("rank", "--certainty", "1.5", "argument --certainty: must be in (0, 1], not 1.5"),
+        ("ablate", "--seeds", "0", "argument --seeds: must be at least 1, not 0"),
+        ("parse", "--jobs", "two", "argument --jobs: invalid int value: 'two'"),
+    ],
+)
+def test_out_of_range_option_is_usage_error(capsys, tmp_path, command, option, value,
+                                             message):
+    sent = _tagged(tmp_path, "a|a:0.6|b:0.4\n")
+    argv = {
+        "parse": ["parse", "--grammar", FIXTURES / "catalan.gr", sent],
+        "stats": ["stats", "--grammar", FIXTURES / "catalan.gr", sent],
+        "rank": ["rank", "--grammar", FIXTURES / "catalan.gr", "--model", tmp_path / "m", sent],
+        "eval": ["eval", "--gold", FIXTURES / "catalan_test.tb", "--parsed",
+                 FIXTURES / "catalan_test.tb"],
+        "ablate": ["ablate", "--grammar", FIXTURES / "catalan.gr", "--treebank",
+                   FIXTURES / "catalan_train.tb", "--gold", FIXTURES / "catalan_test.tb"],
+    }[command]
+    code, out, err = run(capsys, *argv, option, value)
+    assert code == 1
+    assert message in err
+    assert out == ""
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, punclr.cli; "
+         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -271,28 +271,66 @@ def test_constrained_equals_filtered_enumeration():
     assert got_sigs == full_sigs
 
 
+def test_bracket_tables_match_pairwise_crossing():
+    import random
+
+    from punclr.glr import _bracket_tables
+
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        skeleton = {tuple(sorted(rng.sample(range(n + 1), 2)))
+                    for _ in range(rng.randint(0, 4))}
+        last_open, first_close = _bracket_tables(skeleton, n)
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                pairwise = any(i < a < j < b or a < i < b < j for a, b in skeleton)
+                assert (last_open[j] > i or first_close[i] < j) == pairwise, (skeleton, i, j)
+
+
+def assert_bundles_distinct(forest):
+    """No forest node holds two bundles with equal (production, children)."""
+    for node in forest.nodes.values():
+        bundles = [(b.production, b.children) for b in getattr(node, "bundles", ())]
+        assert len(set(bundles)) == len(bundles), node.key
+
+
+# rules of four and five symbols, with an empty B* inside one and at the right
+# end of the other: reduce paths longer than any fixture grammar's, through
+# zero-width edges
+LONG_RULES = CATALAN + (
+    "X -> 'b' ;\n"
+    "X -> 'a' B* X 'b' ;\n"
+    "X -> X 'a' 'b' X B* ;\n"
+    "B -> 'b' ;\n"
+)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_random_lattices_match_oracle(seed):
     import random
 
     rng = random.Random(seed)
-    table, backbone, residues = setup(CATALAN + "X -> 'b' ;\nX -> 'a' 'b' ;\n")
-    for _ in range(10):
-        n = rng.randint(1, 5)
-        cells = []
-        for i in range(n):
-            labels = rng.sample(["a", "b"], rng.randint(1, 2))
-            cells.append(labels)
-        lattice = SentenceLattice(
-            tuple(
-                Token("w%d" % i, i, tuple((l, 0.5) for l in cells[i]))
-                for i in range(n)
+    for text in (CATALAN + "X -> 'b' ;\nX -> 'a' 'b' ;\n", LONG_RULES):
+        table, backbone, residues = setup(text)
+        for _ in range(10):
+            n = rng.randint(1, 5)
+            cells = []
+            for i in range(n):
+                labels = rng.sample(["a", "b"], rng.randint(1, 2))
+                cells.append(labels)
+            lattice = SentenceLattice(
+                tuple(
+                    Token("w%d" % i, i, tuple((l, 0.5) for l in cells[i]))
+                    for i in range(n)
+                )
             )
-        )
-        outcome = parse_lattice(lattice, table, residues)
-        oracle = oracle_derivations(backbone, residues, cells)
-        got = count_parses(outcome.forest) if outcome.ok else 0
-        assert got == len(oracle), (cells, got, len(oracle))
+            outcome = parse_lattice(lattice, table, residues)
+            oracle = oracle_derivations(backbone, residues, cells)
+            got = count_parses(outcome.forest) if outcome.ok else 0
+            assert got == len(oracle), (cells, got, len(oracle))
+            if outcome.ok:
+                assert_bundles_distinct(outcome.forest)
 
 
 def test_forest_export_mentions_every_node():
@@ -396,6 +434,7 @@ def test_forest_export_pinned(grammar):
         outcome = parse_lattice(lattice, table, residues)
         h.update(outcome.status.encode())
         if outcome.ok:
+            assert_bundles_distinct(outcome.forest)
             h.update(b"%d\n" % count_parses(outcome.forest))
             h.update(export_forest(outcome.forest).encode())
     assert h.hexdigest()[:16] == digest
