@@ -4,6 +4,10 @@ Reports are deterministic byte-for-byte given identical inputs and seeds;
 timings are printed only on request since they never are.  Exit codes:
 0 success, 1 usage error, 2 data or hash mismatch, 3 no analysis under
 --strict.
+
+Modules that only some subcommands run (model, evalmetrics, trees,
+fractions) are imported inside the functions that run them, so each process
+loads only what its subcommand runs.
 """
 from __future__ import annotations
 
@@ -11,10 +15,8 @@ import argparse
 import math
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .evalmetrics import coverage_stats, extract_brackets, geig_report
 from .glr import (
     ROOT_KEY,
     constrained_parse,
@@ -27,20 +29,8 @@ from .glr import (
     parse_lattice,
 )
 from .grammar import GrammarError, compile_grammar, load_grammar
-from .lalr import build_lalr, dump_table
+from .lalr import ModelError, build_lalr, dump_table
 from .lattice import read_tagged_file, to_lattice
-from .model import (
-    ModelError,
-    RankTimeout,
-    TransitionCounts,
-    load_model,
-    rank_nbest,
-    save_counts,
-    save_model,
-    smooth_good_turing,
-    transition_occurrences,
-)
-from .trees import format_tree, read_treebank, tree_leaves
 
 MAX_HISTORIES = 5000
 
@@ -171,6 +161,8 @@ def cmd_parse(args):
 def _subsample(trees, spec, seed):
     if spec is None:
         return list(trees)
+    from fractions import Fraction
+
     frac = Fraction(spec)
     count = int(round(float(frac) * len(trees)))
     rng = random.Random(seed)
@@ -183,6 +175,8 @@ def train_model_from_treebanks(artifacts, treebank_paths, weights, subsample=Non
                                seed=0, max_histories=MAX_HISTORIES):
     """Read (and subsample) weighted treebanks, then train_from_trees;
     returns (counts, model, report dict)."""
+    from .trees import read_treebank
+
     trees = []
     for path, weight in zip(treebank_paths, weights):
         for _, tree in read_treebank(path):
@@ -195,6 +189,10 @@ def train_from_trees(artifacts, weighted_trees, max_histories=MAX_HISTORIES):
     (counts, model, report dict).  Each of a tree's m consistent derivations
     counts at weight/m, read off the forest by transition_occurrences; a tree
     with more than max_histories derivations is skipped."""
+    from .evalmetrics import extract_brackets
+    from .model import TransitionCounts, smooth_good_turing, transition_occurrences
+    from .trees import tree_leaves
+
     grammar, backbone, residues, table = artifacts
     counts = TransitionCounts({}, table.table_hash())
     histories = used = inconsistent = unparseable = capped = 0
@@ -232,6 +230,10 @@ def train_from_trees(artifacts, weighted_trees, max_histories=MAX_HISTORIES):
 
 
 def cmd_train(args):
+    from fractions import Fraction
+
+    from .model import save_counts, save_model
+
     weights = args.weight or []
     if len(weights) > len(args.treebank):
         raise UsageError(
@@ -288,6 +290,9 @@ def cmd_train(args):
 
 
 def cmd_rank(args):
+    from .model import RankTimeout, load_model, rank_nbest
+    from .trees import format_tree
+
     artifacts = load_artifacts(args.grammar)
     grammar, backbone, residues, table = artifacts
     model = load_model(args.model)
@@ -351,6 +356,8 @@ def select_analysis(forest, model, rng=None, budget=None):
     zero-training condition).  budget bounds the ranking's CPU seconds as in
     rank_nbest, which raises RankTimeout past it."""
     if rng is None:
+        from .model import rank_nbest
+
         return rank_nbest(forest, model, 1, budget=budget)[0].tree
     # randrange(m) makes the same draw as choice() over the m enumerated
     # derivations, so the pick is the enumeration's
@@ -363,6 +370,10 @@ def evaluate_against_gold(artifacts, gold_trees, model=None, rng=None, timeout=N
     timeout bounds each sentence's parse and ranking together; a sentence
     that fails or runs out of time counts as unparsed.  Returns (report,
     n_failed)."""
+    from .evalmetrics import extract_brackets, geig_report
+    from .model import RankTimeout
+    from .trees import tree_leaves
+
     grammar, backbone, residues, table = artifacts
     pairs = []
     failed = 0
@@ -385,17 +396,27 @@ def evaluate_against_gold(artifacts, gold_trees, model=None, rng=None, timeout=N
 
 
 def cmd_eval(args):
-    gold = [t for _, t in read_treebank(args.gold)]
+    from .evalmetrics import extract_brackets, geig_report
+    from .model import load_model
+    from .trees import read_treebank
+
+    gold = list(read_treebank(args.gold))
     if args.parsed:
-        parsed = [t for _, t in read_treebank(args.parsed)]
+        parsed = list(read_treebank(args.parsed))
         if len(parsed) != len(gold):
             raise DataError(
                 "parsed treebank has %d sentences but gold has %d"
                 % (len(parsed), len(gold))
             )
-        pairs = [
-            (extract_brackets(p), extract_brackets(g)) for p, g in zip(parsed, gold)
-        ]
+        pairs = []
+        for (p_line, p), (g_line, g) in zip(parsed, gold):
+            pair = (extract_brackets(p), extract_brackets(g))
+            if pair[0].length != pair[1].length:
+                raise DataError(
+                    "parsed tree at line %d has %d tokens but gold tree at line %d has %d"
+                    % (p_line, pair[0].length, g_line, pair[1].length)
+                )
+            pairs.append(pair)
         report = geig_report(pairs)
         failed = 0
     else:
@@ -406,7 +427,7 @@ def cmd_eval(args):
         if model.table_hash != artifacts[3].table_hash():
             raise DataError("model does not match the grammar's table")
         report, failed = evaluate_against_gold(
-            artifacts, gold, model, timeout=args.timeout
+            artifacts, [t for _, t in gold], model, timeout=args.timeout
         )
     print(report.tsv() if args.format == "tsv" else report.format())
     if failed:
@@ -415,6 +436,8 @@ def cmd_eval(args):
 
 
 def cmd_stats(args):
+    from .evalmetrics import coverage_stats
+
     artifacts = load_artifacts(args.grammar)
     lattices = read_lattices(args.input, args.plain, args.certainty, args.ratio)
     results = _run_parses(args, lattices, artifacts)
@@ -467,6 +490,8 @@ def ablation_curve(artifacts, train_trees, gold_trees, seeds=5, base_seed=0,
 
 
 def cmd_ablate(args):
+    from .trees import read_treebank
+
     artifacts = load_artifacts(args.grammar)
     train_trees = [t for _, t in read_treebank(args.treebank)]
     gold_trees = [t for _, t in read_treebank(args.gold)]
@@ -544,7 +569,7 @@ def build_arg_parser():
     p.add_argument("--counts-out")
     p.add_argument("--subsample", help="fraction of trees, e.g. 1/64")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-histories", type=int, default=MAX_HISTORIES)
+    p.add_argument("--max-histories", type=count, default=MAX_HISTORIES)
     common_io(p)
     p.set_defaults(func=cmd_train)
 

@@ -18,6 +18,10 @@ nothing repeats: a forest key fixes the stack node beneath, the goto and the
 closure, so only a new forest node brings a new edge; a stack node's reduces
 are queued once bare and once per edge; and a path, popped once, differs from
 every other path into its forest node in some child.
+
+Bundle is a plain slotted dataclass, not a frozen one: a frozen dataclass's
+__init__ sets each field through object.__setattr__, which makes a bundle
+about three times as costly to build, and nothing hashes a bundle.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from math import prod
+from operator import attrgetter
 from typing import Optional
 
 from .grammar import (
@@ -76,7 +81,7 @@ def lattice_from_labels(labels) -> SentenceLattice:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Bundle:
     production: int  # -1 for the virtual root (accept) bundle
     children: tuple  # forest node keys, left to right
@@ -114,6 +119,8 @@ class ForestNode:
 
 
 ROOT_KEY = ("root",)
+_key = attrgetter("key")
+_residue = attrgetter("residue")
 
 
 @dataclass
@@ -193,6 +200,8 @@ def parse_lattice(
     n = len(lattice)
     last_open, first_close = _bracket_tables(skeleton or (), n)
     rows = table.rows
+    gotos = table.gotos
+    productions = table.productions
     featureless = {
         index for index, spec in residues.items()
         if not spec.mother.features and not any(d.features for d in spec.daughters)
@@ -204,7 +213,7 @@ def parse_lattice(
     forest_nodes: dict = {}
     root_bundles: list = []
     start_symbol = None
-    for p in table.productions:
+    for p in productions:
         if p.rule_id == "$aug":
             start_symbol = p.rhs[0]
     serials = iter(range(1 << 60))
@@ -250,7 +259,7 @@ def parse_lattice(
                         "timeout", None, "budget exhausted", time.process_time() - t0, n
                     )
                 node, action, arity, first_edge = tasks.popleft()
-                prod = table.productions[action.arg]
+                prod = productions[action.arg]
                 lhs = prod.lhs
                 featured = prod.index not in featureless
                 transition = (node.state, label, action)
@@ -258,11 +267,11 @@ def parse_lattice(
                     span_start = bottom.position
                     if skeleton and (crossed > span_start or first_close[span_start] < j):
                         continue
-                    goto = table.gotos.get((bottom.state, lhs))
+                    goto = gotos.get((bottom.state, lhs))
                     if goto is None:
                         continue
                     if featured:
-                        child_res = tuple([kid.residue for kid in kids])
+                        child_res = tuple(map(_residue, kids))
                         memo_key = (prod.index, child_res)
                         reduced = residue_memo.get(memo_key, False)
                         if reduced is False:
@@ -295,7 +304,7 @@ def parse_lattice(
                             target.edges.append(edge)
                         enqueue(target, edge)
                     fnode.bundles.append(
-                        Bundle(prod.index, tuple([kid.key for kid in kids]), transition)
+                        Bundle(prod.index, tuple(map(_key, kids)), transition)
                     )
 
             if j < n:

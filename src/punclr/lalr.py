@@ -235,6 +235,11 @@ def dump_table(table: LalrTable, path):
             fh.write("goto %d %s %d\n" % (state, esc(sym), target))
 
 
+class ModelError(Exception):
+    """A malformed or mismatched model or counts file (read_records raises it
+    for the model module, and the CLI catches it without importing that)."""
+
+
 def read_records(path, kind: str, fields: dict, error=ValueError):
     """Yield (record name, converted values) for each line after the
     "punclr-<kind> v1" header of a counts or model file.

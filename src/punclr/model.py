@@ -30,11 +30,7 @@ from .glr import (
     enumerate_derivations,
     walk_derivation,
 )
-from .lalr import Action, LalrTable, action_kind, esc, read_records, unesc
-
-
-class ModelError(Exception):
-    pass
+from .lalr import Action, LalrTable, ModelError, action_kind, esc, read_records, unesc
 
 
 @dataclass

@@ -108,6 +108,18 @@ def test_eval_gold_vs_gold_perfect(capsys):
     assert "mean crossings     0.00" in out
 
 
+def test_eval_parsed_length_mismatch_names_both_lines(capsys, tmp_path):
+    gold = tmp_path / "gold.tb"
+    gold.write_text("# gold\n(X (X a a) a)\n\n(X a (X a a))\n")
+    parsed = tmp_path / "parsed.tb"
+    parsed.write_text("(X (X a a) a)\n(X (X a a) (X a a))\n")
+    code, out, err = run(capsys, "eval", "--gold", gold, "--parsed", parsed)
+    assert code == 2
+    assert err == ("error: parsed tree at line 2 has 4 tokens "
+                   "but gold tree at line 4 has 3\n")
+    assert out == ""
+
+
 def test_train_subsample_seeded(capsys, tmp_path):
     m1 = tmp_path / "m1.model"
     m2 = tmp_path / "m2.model"
@@ -300,15 +312,17 @@ def test_eval_timeout_covers_ranking(capsys, tmp_path):
 
 def test_eval_ranking_budget_is_what_parsing_left(monkeypatch, tmp_path):
     from punclr import cli
+    from punclr import model as ranking
+    from punclr.trees import read_treebank
 
     budgets = []
 
     def rank_out_of_time(forest, model, n, budget=None):
         budgets.append(budget)
-        raise cli.RankTimeout("out of time")
+        raise ranking.RankTimeout("out of time")
 
     artifacts = cli.load_artifacts(FIXTURES / "catalan.gr")
-    gold = [t for _, t in cli.read_treebank(_catalan_gold(tmp_path, 3))]
+    gold = [t for _, t in read_treebank(_catalan_gold(tmp_path, 3))]
     parses = []
     real_parse = cli.parse_lattice
 
@@ -317,7 +331,7 @@ def test_eval_ranking_budget_is_what_parsing_left(monkeypatch, tmp_path):
         return parses[-1]
 
     monkeypatch.setattr(cli, "parse_lattice", parse)
-    monkeypatch.setattr(cli, "rank_nbest", rank_out_of_time)
+    monkeypatch.setattr(ranking, "rank_nbest", rank_out_of_time)
     with pytest.raises(cli.DataError, match="no gold sentence could be parsed"):
         cli.evaluate_against_gold(artifacts, gold, model=object(), timeout=5.0)
     assert budgets == [5.0 - outcome.cpu_seconds for outcome in parses]
@@ -569,6 +583,9 @@ def test_unreadable_path_exits_2_without_traceback(capsys, tmp_path, command):
         ("rank", "--certainty", "1.5", "argument --certainty: must be in (0, 1], not 1.5"),
         ("ablate", "--seeds", "0", "argument --seeds: must be at least 1, not 0"),
         ("parse", "--jobs", "two", "argument --jobs: invalid int value: 'two'"),
+        ("train", "--max-histories", "0", "argument --max-histories: must be at least 1, not 0"),
+        ("train", "--max-histories", "-1",
+         "argument --max-histories: must be at least 1, not -1"),
     ],
 )
 def test_out_of_range_option_is_usage_error(capsys, tmp_path, command, option, value,
@@ -582,20 +599,45 @@ def test_out_of_range_option_is_usage_error(capsys, tmp_path, command, option, v
                  FIXTURES / "catalan_test.tb"],
         "ablate": ["ablate", "--grammar", FIXTURES / "catalan.gr", "--treebank",
                    FIXTURES / "catalan_train.tb", "--gold", FIXTURES / "catalan_test.tb"],
+        "train": ["train", "--grammar", FIXTURES / "catalan.gr", "--treebank",
+                  FIXTURES / "catalan_train.tb", "--model-out", tmp_path / "out.model"],
     }[command]
     code, out, err = run(capsys, *argv, option, value)
     assert code == 1
     assert message in err
     assert out == ""
+    assert not (tmp_path / "out.model").exists()
 
 
-def test_importing_the_cli_leaves_the_process_pool_out():
+def test_importing_the_cli_leaves_the_process_pool_out(tmp_path):
+    """Importing the CLI loads no process pool, and compile, parse and stats
+    load no model, evaluation or treebank code they do not run."""
     src = str(FIXTURES.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = """
+import contextlib, io, sys
+from punclr import cli
+
+def loaded(names):
+    print(sorted(set(names) & set(sys.modules)), file=sys.stderr)
+
+grammar, sentences, dump = sys.argv[1:]
+pool = {"concurrent.futures", "multiprocessing"}
+unused = {"punclr.model", "punclr.trees", "fractions"}
+loaded(pool)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["compile", grammar]) == 0
+    assert cli.main(["parse", "--grammar", grammar, "--dump-forest", dump, sentences]) == 0
+    loaded(pool | unused | {"punclr.evalmetrics"})
+    assert cli.main(["stats", "--grammar", grammar, sentences]) == 0
+    loaded(pool | unused)
+"""
+    sentences = _tagged(tmp_path, "a|a:1.0 a|a:1.0 a|a:1.0\n")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, punclr.cli; "
-         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        [sys.executable, "-c", script, str(FIXTURES / "catalan.gr"), str(sentences),
+         str(tmp_path / "forests")],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stderr.splitlines() == ["[]", "[]", "[]"]
+    assert (tmp_path / "forests" / "sentence000.forest").exists()
