@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a base commit against the working tree.
 
-    python3 scripts/bench_pairs.py --pr NUMBER --base HEAD --pairs 10 --seed 5 --seed 7
-    python3 scripts/bench_pairs.py --pr NUMBER --base HEAD --seed 7 --workload parse-corpus
+    python3 scripts/bench_pairs.py --pr NUMBER --base HEAD --seed 5 --seed 7
 
 The base commit is exported with `git archive` into a temporary directory;
 the change is the working tree this script sits in.  The script refuses to
 run when the two trees' perfbench/ directories or BENCHMARK.json differ, so
 both sides are measured by the same benchmark.  For every pair it removes each src/ tree's
 __pycache__ directories, then runs the command BENCHMARK.json declares once
-per side (--workload W --seed N --seconds S --trace 0), alternating which
-side goes first.  It prints, per workload, seed and end-to-end metric, each
+per side (--workload W --seed N --seconds S --trace 0, S being its
+run_seconds), with PYTHONDONTWRITEBYTECODE=1, alternating which side goes
+first.  It makes ten pairs for every workload BENCHMARK.json declares.  It prints, per workload, seed and end-to-end metric, each
 side's median [q1, q3] and how many pairs the change won (ties count for
 neither side), and rewrites BENCH_<pr>.json in the working tree after every
 pair, so an interrupted session keeps the pairs it finished.
@@ -33,6 +33,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+# Neither side writes bytecode, so every run compiles its modules afresh.
+RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def git(*args) -> str:
@@ -74,7 +77,8 @@ def run_once(tree: Path, command, workload, seed, seconds) -> dict:
     """One benchmark run in tree: its JSON result line, parsed."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                          env=dict(os.environ, **RUN_ENV))
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -144,17 +148,12 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
     p.add_argument("--base", required=True, help="the base commit, e.g. HEAD or a hash")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, action="append", required=True)
-    p.add_argument("--workload", action="append",
-                   help="default: every workload BENCHMARK.json declares")
-    p.add_argument("--seconds", type=float,
-                   help="default: run_seconds from BENCHMARK.json")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
     out_path = ROOT / ("BENCH_%s.json" % args.pr)
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
@@ -169,6 +168,7 @@ def main(argv=None):
             "change": "working tree on " + git("rev-parse", "HEAD"),
             "command": spec["command"],
             "seconds": seconds,
+            "env": RUN_ENV,
             "python": platform.python_version(),
             "machine": "%s, %d CPUs" % (platform.machine(), os.cpu_count()),
             "runs": [],
@@ -176,7 +176,7 @@ def main(argv=None):
         order = ("base", "change")
         for seed in args.seed:
             for workload in workloads:
-                for pair in range(args.pairs):
+                for pair in range(PAIRS):
                     sides = order if pair % 2 == 0 else order[::-1]
                     for side in sides:
                         for tree in trees.values():

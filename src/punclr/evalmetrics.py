@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .glr import Tree
+from .trees import internal_spans
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,6 @@ class BracketSet:
 
 def extract_brackets(tree: Tree) -> BracketSet:
     """One span per internal node of length >= 2; labels discarded."""
-    from .trees import internal_spans  # here, so that stats needs no trees
-
     spans = [(start, end) for start, end in internal_spans(tree) if end - start >= 2]
     return BracketSet(tree.end - tree.start, tuple(spans))
 

@@ -630,7 +630,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["parse", "--grammar", grammar, "--dump-forest", dump, sentences]) == 0
     loaded(pool | unused | {"punclr.evalmetrics"})
     assert cli.main(["stats", "--grammar", grammar, sentences]) == 0
-    loaded(pool | unused)
+    loaded(pool | unused - {"punclr.trees"})
 """
     sentences = _tagged(tmp_path, "a|a:1.0 a|a:1.0 a|a:1.0\n")
     proc = subprocess.run(
