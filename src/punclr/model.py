@@ -18,19 +18,28 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .glr import (
     ForestLeaf,
     ParseForest,
     ROOT_KEY,
+    derivation_signature,
     derivation_to_tree,
     derivation_transitions,
     enumerate_derivations,
     walk_derivation,
 )
-from .lalr import Action, LalrTable, ModelError, action_kind, esc, read_records, unesc
+from .lalr import (
+    Action,
+    FieldError,
+    LalrTable,
+    ModelError,
+    action_kind,
+    esc,
+    read_records,
+    unesc,
+)
 
 
 @dataclass
@@ -244,6 +253,41 @@ class RankTimeout(Exception):
     """rank_nbest used up its CPU budget."""
 
 
+class _Signature(tuple):
+    """A derivation signature as a 1-tuple holding its nested form,
+    (("p", production), child's nested form, ...) or (("t", label),), which
+    costs O(arity) to build where the flat preorder (derivation_signature)
+    costs O(subtree).  A preorder whose productions fix their arity is
+    prefix-free, so the nested forms compare as the flat preorders do.  They
+    are compared in C; where the nesting runs deeper than the recursion
+    limit lets a comparison go, the flat preorders are compared instead."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        try:
+            return self[0] == other[0]
+        except RecursionError:
+            return _preorder(self[0]) == _preorder(other[0])
+
+    def __lt__(self, other):
+        try:
+            return self[0] < other[0]
+        except RecursionError:
+            return _preorder(self[0]) < _preorder(other[0])
+
+
+def _preorder(nested) -> list:
+    """The flat preorder of a nested signature, without recursion."""
+    out = []
+    todo = [nested]
+    while todo:
+        sig = todo.pop()
+        out.append(sig[0])
+        todo.extend(reversed(sig[1:]))
+    return out
+
+
 def rank_nbest(
     forest: ParseForest,
     model: ProbModel,
@@ -255,10 +299,27 @@ def rank_nbest(
 
     Packing keys include state, residue, and pending lookahead, so the score
     of a subderivation is context-free within the forest and a lazy k-best
-    over the bundle DAG is exact.  Candidates are re-scored along their
-    canonical transition sequence and ties break on the lexicographic
-    derivation signature.  budget, when given, is the CPU time in seconds
-    ranking may take; past it RankTimeout is raised.
+    over the bundle DAG is exact.  Root entries are pulled one at a time,
+    at most 2n+16 of them, and each is re-scored when it arrives along its
+    canonical transition sequence (the post-order sum()); the answer is the
+    top n of those by canonical score, ties broken on the lexicographic
+    derivation signature.
+
+    Pulling stops early, with the same answer, once no later root entry can
+    place.  Every term is a log probability, so at most 0, and a float sum
+    of K such terms, in any order, lies within gamma * |S| of their exact sum
+    S, gamma = K u / (1 - K u) with u = 2^-53 (Higham 1993).  An entry's
+    bottom-up score and its canonical score sum the same terms, so both lie
+    within that bound, and root entries come in non-increasing bottom-up
+    score because float addition is monotone.  If the next entry's
+    bottom-up score b has b (1 - gamma) / (1 + gamma) below c, the n-th best
+    canonical score so far, then every later entry's canonical score is
+    below c too, and a strictly lower score never reaches the signature
+    tie-break.  Where scores nearly tie the rule does not fire, and the
+    pulling runs to the 2n+16 cap as it always did.
+
+    budget, when given, is the CPU time in seconds ranking may take; past it
+    RankTimeout is raised.
     """
     t0 = time.process_time()
     if n < 1:
@@ -299,9 +360,9 @@ def rank_nbest(
                 return None
             cs, csig, _, _, cd = lists[ck][r]
             score += cs
-            sig.extend(csig)
+            sig.append(csig[0])
             children.append(cd)
-        return score, tuple(sig), bi, ranks, (key, bi, tuple(children))
+        return score, _Signature((tuple(sig),)), bi, ranks, (key, bi, tuple(children))
 
     def push(key, bi, ranks):
         if (bi, ranks) in pushed[key]:
@@ -330,13 +391,15 @@ def rank_nbest(
 
     # every node's best entry, children first: the bundle with the highest
     # score over its children's best entries, the smallest signature among
-    # equal scores, as a heap of all first candidates would pop it
+    # equal scores and the lowest bundle index among equal signatures (min
+    # keeps the first), as a heap of all first candidates would pop it
     for key, node in forest.nodes.items():
         if isinstance(node, ForestLeaf):
             score = own_scores[key] = log_prob(node.transition)
             if include_tag_likelihoods:
                 score += math.log(node.likelihood)
-            lists[key] = [(score, (("t", node.label),), None, (), (key, None, ()))]
+            sig = _Signature(((("t", node.label),),))
+            lists[key] = [(score, sig, None, (), (key, None, ()))]
             exhausted.add(key)
             continue
         own = own_scores[key] = [log_prob(b.transition) for b in node.bundles]
@@ -346,58 +409,87 @@ def rank_nbest(
                 score += lists[ck][0][0]
             scores.append(score)
         best = max(scores)
-        lists[key] = [min(
-            (candidate(key, bi, (0,) * len(node.bundles[bi].children))
-             for bi, score in enumerate(scores) if score == best),
-            key=itemgetter(1, 2),
-        )]
+        bi = scores.index(best)
+        if scores.count(best) > 1:
+            bi = min(
+                (i for i, score in enumerate(scores) if score == best),
+                key=lambda i: _Signature(((
+                    ("p", node.bundles[i].production),
+                    *[lists[ck][0][1][0] for ck in node.bundles[i].children],
+                ),)),
+            )
+        lists[key] = [candidate(key, bi, (0,) * len(node.bundles[bi].children))]
 
-    # later entries by Huang & Chiang's lazy next on an explicit stack of
-    # (node, rank wanted): a node's next entry is popped right after the
-    # successors of its last entry are pushed, and each successor may first
-    # need one more entry of a child
-    stack = [(ROOT_KEY, 2 * n + 16 - 1)]
-    while stack:
-        if budget is not None and time.process_time() - t0 > budget:
-            raise RankTimeout("budget exhausted")
-        key, rank = stack[-1]
-        if rank < len(lists[key]) or key in exhausted:
-            stack.pop()
-            continue
-        _, _, bi, ranks, _ = lists[key][-1]
-        children = forest.nodes[key].bundles[bi].children
-        for ck, r in zip(children, ranks):
-            if r + 1 >= len(lists[ck]) and ck not in exhausted:
-                stack.append((ck, r + 1))
-                break
-        else:
-            if key not in heaps:
-                start_heap(key)
-            for ci in range(len(ranks)):
-                push(key, bi, ranks[:ci] + (ranks[ci] + 1,) + ranks[ci + 1:])
-            pop(key)
-
-    # the canonical score: the log probabilities in post-order, summed as
-    # score_derivation(derivation_transitions(...)) sums them
+    # Root entries one at a time, up to the 2n+16 window that near-ties
+    # still need.  gamma bounds every derivation's float sums (see the
+    # docstring): a derivation has at most one transition per node and one
+    # tag likelihood per leaf, and the 8 spare terms raise the threshold by
+    # about 16u|b|, more than the 4u|b| its own rounding can take off.
+    k = 2 * len(forest.nodes) + 8
+    gamma = k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+    shrink = (1 - gamma) / (1 + gamma)
+    root = lists[ROOT_KEY]
     rescored = []
-    for _, sig, _, _, deriv in lists[ROOT_KEY]:
-        logs = [
-            own_scores[key] if bi is None else own_scores[key][bi]
-            for entering, (key, bi, _) in walk_derivation(deriv)
-            if not entering
-        ]
-        score = sum(logs)
+    top_n = []  # min-heap of the n highest canonical scores so far
+    for wanted in range(2 * n + 16):
+        # root entry `wanted` by Huang & Chiang's lazy next on an explicit
+        # stack of (node, rank wanted): a node's next entry is popped right
+        # after the successors of its last entry are pushed, and each
+        # successor may first need one more entry of a child
+        stack = [(ROOT_KEY, wanted)]
+        while stack:
+            if budget is not None and time.process_time() - t0 > budget:
+                raise RankTimeout("budget exhausted")
+            key, rank = stack[-1]
+            if rank < len(lists[key]) or key in exhausted:
+                stack.pop()
+                continue
+            _, _, bi, ranks, _ = lists[key][-1]
+            children = forest.nodes[key].bundles[bi].children
+            for ck, r in zip(children, ranks):
+                if r + 1 >= len(lists[ck]) and ck not in exhausted:
+                    stack.append((ck, r + 1))
+                    break
+            else:
+                if key not in heaps:
+                    start_heap(key)
+                for ci in range(len(ranks)):
+                    push(key, bi, ranks[:ci] + (ranks[ci] + 1,) + ranks[ci + 1:])
+                pop(key)
+        if wanted == len(root):
+            break
+        score, sig, _, _, deriv = root[wanted]
+        # stop once no later root entry can place: root scores never rise,
+        # so every later entry's canonical score is at most score * shrink,
+        # below the n-th best canonical score so far
+        if len(top_n) == n and score * shrink < top_n[0]:
+            break
+        # the canonical score: the log probabilities in post-order, summed
+        # as score_derivation(derivation_transitions(...)) sums them; the
+        # preorder with children pushed left to right is the post-order
+        # reversed
+        logs = []
+        todo = [deriv]
+        while todo:
+            key, bi, children = todo.pop()
+            logs.append(own_scores[key] if bi is None else own_scores[key][bi])
+            todo.extend(children)
+        logs.reverse()
+        canonical = sum(logs)
         if include_tag_likelihoods:
-            score += _leaf_likelihood_sum(forest, deriv)
-        rescored.append((score, sig, deriv))
+            canonical += _leaf_likelihood_sum(forest, deriv)
+        rescored.append((canonical, sig, deriv))
+        if len(top_n) < n:
+            heapq.heappush(top_n, canonical)
+        else:
+            heapq.heappushpop(top_n, canonical)
     rescored.sort(key=lambda e: (-e[0], e[1]))
 
-    out = []
-    for rank, (score, sig, deriv) in enumerate(rescored[:n], 1):
-        out.append(
-            RankedAnalysis(derivation_to_tree(forest, deriv), score, rank, sig, deriv)
-        )
-    return out
+    return [
+        RankedAnalysis(derivation_to_tree(forest, deriv), score, rank,
+                       derivation_signature(forest, deriv), deriv)
+        for rank, (score, _, deriv) in enumerate(rescored[:n], 1)
+    ]
 
 
 def _leaf_likelihood_sum(forest, deriv) -> float:
@@ -500,14 +592,31 @@ def save_counts(counts: TransitionCounts, path):
             )
 
 
-_TRANSITION = (int, unesc, action_kind, int, float)  # state, label, kind, arg, value
+def _count(field: str) -> float:
+    """The read_records converter for a count: finite and at least 0."""
+    c = float(field)
+    if not 0.0 <= c < math.inf:
+        raise FieldError("expected a finite count of at least 0, found %r" % field)
+    return c
+
+
+def _probability(field: str) -> float:
+    """The read_records converter for a probability: in (0, 1], so that every
+    log probability rank_nbest sums is finite and at most 0."""
+    p = float(field)
+    if not 0.0 < p <= 1.0:
+        raise FieldError("expected a probability in (0, 1], found %r" % field)
+    return p
+
+
+_TRANSITION = (int, unesc, action_kind, int)  # state, label, kind, arg
 
 
 def load_counts(path) -> TransitionCounts:
     counts: dict = {}
     table_hash = ""
     total = 0.0
-    fields = {"table": (str,), "histories": (float,), "count": _TRANSITION}
+    fields = {"table": (str,), "histories": (_count,), "count": (*_TRANSITION, _count)}
     for record, values in read_records(path, "counts", fields, ModelError):
         if record == "table":
             (table_hash,) = values
@@ -537,7 +646,11 @@ def load_model(path) -> ProbModel:
     probs: dict = {}
     unseen: dict = {}
     table_hash = ""
-    fields = {"table": (str,), "unseen": (int, unesc, float), "prob": _TRANSITION}
+    fields = {
+        "table": (str,),
+        "unseen": (int, unesc, _probability),
+        "prob": (*_TRANSITION, _probability),
+    }
     for record, values in read_records(path, "model", fields, ModelError):
         if record == "table":
             (table_hash,) = values
