@@ -24,7 +24,6 @@ from .glr import (
     ForestLeaf,
     ParseForest,
     ROOT_KEY,
-    derivation_signature,
     derivation_to_tree,
     derivation_transitions,
     enumerate_derivations,
@@ -277,15 +276,16 @@ class _Signature(tuple):
             return _preorder(self[0]) < _preorder(other[0])
 
 
-def _preorder(nested) -> list:
-    """The flat preorder of a nested signature, without recursion."""
+def _preorder(nested) -> tuple:
+    """The flat preorder of a nested signature, as derivation_signature
+    gives it, without recursion."""
     out = []
     todo = [nested]
     while todo:
         sig = todo.pop()
         out.append(sig[0])
         todo.extend(reversed(sig[1:]))
-    return out
+    return tuple(out)
 
 
 def rank_nbest(
@@ -487,8 +487,8 @@ def rank_nbest(
 
     return [
         RankedAnalysis(derivation_to_tree(forest, deriv), score, rank,
-                       derivation_signature(forest, deriv), deriv)
-        for rank, (score, _, deriv) in enumerate(rescored[:n], 1)
+                       _preorder(sig[0]), deriv)
+        for rank, (score, sig, deriv) in enumerate(rescored[:n], 1)
     ]
 
 

@@ -178,10 +178,9 @@ def nbest_oracle_order(forest, model):
     return scored
 
 
-def test_criterion_3_ranking_oracle(compiled, catalan_model):
-    checked = 0
+def criterion_3_cases(compiled, catalan_model):
+    """(grammar, model, labels) for the criterion-3 sentences."""
     cases = []
-    _, backbone, residues, table = compiled["catalan.gr"]
     for n in range(1, 7):
         cases.append(("catalan.gr", catalan_model, ["a"] * n))
     _, _, _, comma_table = compiled["commatext.gr"]
@@ -198,7 +197,12 @@ def test_criterion_3_ranking_oracle(compiled, catalan_model):
     cases.append(
         ("tagseq.gr", uniform_tag, ["AT", "NN1", "VVZ", "AT", "NN1", "II", "AT", "NN1"])
     )
-    for name, model, labels in cases:
+    return cases
+
+
+def test_criterion_3_ranking_oracle(compiled, catalan_model):
+    checked = 0
+    for name, model, labels in criterion_3_cases(compiled, catalan_model):
         _, backbone, residues, table = compiled[name]
         outcome = parse_lattice(lattice_from_labels(labels), table, residues)
         assert outcome.ok
@@ -211,6 +215,43 @@ def test_criterion_3_ranking_oracle(compiled, catalan_model):
             assert abs(got.log_prob - score) < 1e-12
         checked += 1
     report(3, True, "rank_nbest(total) equals enumerate-and-score order on %d fixture sentences" % checked)
+
+
+def test_criterion_3_ranking_oracle_below_total(compiled, catalan_model):
+    """n below the parse count, where the 2n+16 window and the early stop
+    bind: rank_nbest(n) is the enumeration's top n, signatures and log-probs
+    exactly, under an untrained and a trained model per grammar."""
+    from punclr.cli import train_from_trees
+
+    trees = [t for _, t in read_treebank(FIXTURES / "tagseq_gold.tb")]
+    cases = criterion_3_cases(compiled, catalan_model)
+    comma = compiled["commatext.gr"]
+    first_derivations = []  # the comma sentences' first enumerated derivations
+    for name, _, labels in cases:
+        if name == "commatext.gr":
+            forest = parse_lattice(lattice_from_labels(labels), comma[3], comma[2]).forest
+            first_derivations.append(
+                derivation_transitions(forest, enumerate_derivations(forest)[0]))
+    trained = {
+        "catalan.gr": catalan_model,
+        "tagseq.gr": train_from_trees(compiled["tagseq.gr"], [(t, 1.0) for t in trees])[1],
+        "commatext.gr": smooth_good_turing(
+            train_counts(first_derivations, comma[3].table_hash()), comma[3]),
+    }
+    checked = 0
+    for name, _, labels in cases:
+        _, _, residues, table = compiled[name]
+        forest = parse_lattice(lattice_from_labels(labels), table, residues).forest
+        untrained = smooth_good_turing(train_counts([], table.table_hash()), table)
+        for model in (untrained, trained[name]):
+            oracle = nbest_oracle_order(forest, model)
+            for n in (1, 2, 3, 5, 10):
+                ranked = rank_nbest(forest, model, n)
+                assert [(a.signature, a.log_prob) for a in ranked] == [
+                    (sig, score) for score, sig in oracle[:n]], (name, labels, n)
+                checked += 1
+    report(3, True, "rank_nbest(n) for n = 1, 2, 3, 5, 10 equals the enumeration's "
+                    "top n in %d cases" % checked)
 
 
 def test_criterion_4_probability_simplex(compiled, catalan_model):

@@ -476,6 +476,11 @@ def test_train_deep_left_branching_tree(capsys, tmp_path):
     "command, replacement, message",
     [
         ("rank", "prob 0 a bogus 2 0.5\n", "line 4: expected shift or reduce or accept"),
+        # these gave "math domain error", "min() arg is an empty sequence",
+        # and inf log-probs with exit 0
+        ("rank", "prob 0 a shift 1 0.0\n", "line 4: expected a probability in (0, 1]"),
+        ("rank", "unseen 0 a nan\n", "line 4: expected a probability in (0, 1]"),
+        ("rank", "prob 0 a shift 1 inf\n", "line 4: expected a probability in (0, 1]"),
     ],
 )
 def test_unknown_action_kind_or_separator_exits_2(capsys, tmp_path, command, replacement,

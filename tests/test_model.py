@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,6 +302,91 @@ def test_rank_hash_mismatch_rejected():
         rank_nbest(outcome.forest, bad, 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rank_nbest_equals_enumeration_top_n_on_random_models(data):
+    """n below the parse count on random sentences, under models trained on
+    random weighted draws of their own derivations: rank_nbest(n) is the
+    enumeration's top n, signatures and log-probs exactly."""
+    grammar = data.draw(st.sampled_from(["catalan.gr", "commatext.gr", "two-way"]))
+    if grammar == "two-way":
+        backbone, residues = compile_grammar(parse_grammar_file(TWO_WAY))
+        table = build_lalr(backbone)
+        labels = data.draw(st.lists(st.sampled_from("xy"), min_size=1, max_size=5))
+    else:
+        _, _, residues, table = compile_fixture(grammar)
+        if grammar == "catalan.gr":
+            labels = ["a"] * data.draw(st.integers(1, 7))
+        else:
+            labels = ["W"] + [",", "W"] * data.draw(st.integers(0, 5))
+    forest = parse(table, residues, labels).forest
+    derivs = enumerate_derivations(forest)
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(derivs) - 1), st.floats(0.01, 10.0)), max_size=4))
+    counts = train_counts([derivation_transitions(forest, derivs[i]) for i, _ in picks],
+                          table.table_hash(), [w for _, w in picks])
+    model = smooth_good_turing(counts, table)
+    oracle = nbest_oracle(forest, model, len(derivs))
+    for n in (1, 2, 3, 5, 10):
+        assert [(a.signature, a.log_prob) for a in rank_nbest(forest, model, n)] == [
+            (sig, score) for score, sig, _ in oracle[:n]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 0.0), min_size=1, max_size=60), st.data())
+def test_float_sums_of_nonpositive_terms_stay_within_gamma(terms, data):
+    """The bound rank_nbest's early stop rests on: a float sum of K terms,
+    each at most 0, lies within gamma * |S| of their exact sum S, with gamma
+    = K u / (1 - K u) and u = 2^-53, whether summed in sequence or along a
+    random binary tree."""
+    exact = sum(map(Fraction, terms), Fraction(0))
+    u = Fraction(1, 2 ** 53)
+    gamma = len(terms) * u / (1 - len(terms) * u)
+    sequential = 0.0
+    for t in terms:
+        sequential += t
+    partial = list(terms)
+    while len(partial) > 1:
+        i = data.draw(st.integers(0, len(partial) - 2))
+        partial[i:i + 2] = [partial[i] + partial[i + 1]]
+    for total in (sequential, partial[0]):
+        assert abs(Fraction(total) - exact) <= gamma * abs(exact)
+
+
+def test_rank_ties_follow_signature_order():
+    """With probability 1.0 for every action every derivation scores 0.0,
+    so the ranking is pure signature order: rank_nbest(n) returns the n
+    smallest enumerated signatures.  a^8 and a^9 have more parses than the
+    2n+16 window holds."""
+    table, residues = setup_catalan()
+    certain = ProbModel(
+        {(s, l, a): 1.0 for (s, l), actions in table.actions.items() for a in actions},
+        {}, table.table_hash(),
+    )
+    for length in range(2, 10):
+        forest = parse(table, residues, ["a"] * length).forest
+        sigs = sorted(derivation_signature(forest, d) for d in enumerate_derivations(forest))
+        for n in (1, 2, 3, 5, 10):
+            ranked = rank_nbest(forest, certain, n)
+            assert [a.signature for a in ranked] == sigs[:n], (length, n)
+            assert [a.log_prob for a in ranked] == [0.0] * min(n, len(sigs))
+
+
+def test_deep_tie_ranks_without_recursion():
+    """The two parses of a^1500 first differ at the bottom of the chain and
+    tie exactly; their signatures nest deeper than a comparison may recurse
+    and are compared as flat preorders."""
+    grammar = "%start S\nS -> S 'a' ;\nS -> A ;\nS -> B ;\nA -> 'a' ;\nB -> 'a' ;\n"
+    backbone, residues = compile_grammar(parse_grammar_file(grammar))
+    table = build_lalr(backbone)
+    forest = parse(table, residues, ["a"] * 1500).forest
+    model = smooth_good_turing(train_counts([], table.table_hash()), table)
+    first, second = rank_nbest(forest, model, 2)
+    assert first.log_prob == second.log_prob
+    assert [first.signature, second.signature] == sorted(
+        derivation_signature(forest, d) for d in enumerate_derivations(forest))
+
+
 def test_scaling_invariance_of_argmax():
     table, residues = setup_catalan()
     histories, _ = branchy_histories(table, residues)
@@ -376,13 +463,22 @@ def _corrupt(path, lineno, replacement):
          "line 4: expected shift or reduce or accept for the action kind, found 'Shift'"),
         ("model", "shift 0 a\n", "line 4: unknown record 'shift'"),
         ("counts", "histories 4 5\n", "line 4: histories record needs 1 fields, found 2"),
+        # rank_nbest's stop rule needs every log probability finite and <= 0
+        *[("model", record % value, "line 4: expected a probability in (0, 1], found %r"
+           % value)
+          for record in ("prob 0 a shift 1 %s\n", "unseen 0 a %s\n")
+          for value in ("0.0", "-0.5", "nan", "inf", "1.5")],
+        *[("counts", record % value, "line 4: expected a finite count of at least 0, "
+           "found %r" % value)
+          for record in ("count 0 a shift 1 %s\n", "histories %s\n")
+          for value in ("-1.0", "nan", "inf", "-inf")],
     ],
 )
 def test_malformed_line_raises_model_error(tmp_path, reader, replacement, message):
     cpath, mpath = _saved_counts_and_model(tmp_path)
     path, load = (cpath, load_counts) if reader == "counts" else (mpath, load_model)
     _corrupt(path, 4, replacement)
-    with pytest.raises(ModelError, match="^" + message):
+    with pytest.raises(ModelError, match="^" + re.escape(message)):
         load(path)
 
 
