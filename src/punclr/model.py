@@ -29,16 +29,8 @@ from .glr import (
     enumerate_derivations,
     walk_derivation,
 )
-from .lalr import (
-    Action,
-    FieldError,
-    LalrTable,
-    ModelError,
-    action_kind,
-    esc,
-    read_records,
-    unesc,
-)
+from .lalr import (Action, FieldError, LalrTable, ModelError, action_kind, esc,
+                   read_records, unesc)
 
 
 @dataclass
@@ -254,12 +246,11 @@ class RankTimeout(Exception):
 
 class _Signature(tuple):
     """A derivation signature as a 1-tuple holding its nested form,
-    (("p", production), child's nested form, ...) or (("t", label),), which
-    costs O(arity) to build where the flat preorder (derivation_signature)
-    costs O(subtree).  A preorder whose productions fix their arity is
-    prefix-free, so the nested forms compare as the flat preorders do.  They
-    are compared in C; where the nesting runs deeper than the recursion
-    limit lets a comparison go, the flat preorders are compared instead."""
+    (("p", production), child's nested form, ...) or (("t", label),): O(arity)
+    to build, where the flat preorder costs O(subtree).  A preorder whose
+    productions fix their arity is prefix-free, so nested forms compare as
+    the flat ones do; past the depth a comparison may recurse to, the flat
+    preorders are compared instead."""
 
     __slots__ = ()
 
@@ -299,24 +290,20 @@ def rank_nbest(
 
     Packing keys include state, residue, and pending lookahead, so the score
     of a subderivation is context-free within the forest and a lazy k-best
-    over the bundle DAG is exact.  Root entries are pulled one at a time,
-    at most 2n+16 of them, and each is re-scored when it arrives along its
-    canonical transition sequence (the post-order sum()); the answer is the
-    top n of those by canonical score, ties broken on the lexicographic
-    derivation signature.
+    over the bundle DAG is exact.  Root entries are pulled one at a time, at
+    most 2n+16, each re-scored on arrival along its canonical transition
+    sequence (the post-order sum()); the answer is their top n by that
+    score, ties broken on the lexicographic derivation signature.
 
-    Pulling stops early, with the same answer, once no later root entry can
-    place.  Every term is a log probability, so at most 0, and a float sum
-    of K such terms, in any order, lies within gamma * |S| of their exact sum
-    S, gamma = K u / (1 - K u) with u = 2^-53 (Higham 1993).  An entry's
-    bottom-up score and its canonical score sum the same terms, so both lie
-    within that bound, and root entries come in non-increasing bottom-up
-    score because float addition is monotone.  If the next entry's
-    bottom-up score b has b (1 - gamma) / (1 + gamma) below c, the n-th best
-    canonical score so far, then every later entry's canonical score is
-    below c too, and a strictly lower score never reaches the signature
-    tie-break.  Where scores nearly tie the rule does not fire, and the
-    pulling runs to the 2n+16 cap as it always did.
+    Pulling stops early once no later root entry can place.  Every term is
+    a log probability, at most 0, so any float sum of K terms lies within
+    gamma |S| of their exact sum S, gamma = K u / (1 - K u), u = 2^-53
+    (Higham 1993): an entry's bottom-up and canonical scores both do.  Root
+    entries come in non-increasing bottom-up score, float addition being
+    monotone.  So once the next one's bottom-up score b has b (1 - gamma) /
+    (1 + gamma) below c, the n-th best canonical score so far, every later
+    entry scores below c, too low to reach the signature tie-break.  On
+    near-ties the rule does not fire and the 2n+16 cap applies as before.
 
     budget, when given, is the CPU time in seconds ranking may take; past it
     RankTimeout is raised.
@@ -420,11 +407,9 @@ def rank_nbest(
             )
         lists[key] = [candidate(key, bi, (0,) * len(node.bundles[bi].children))]
 
-    # Root entries one at a time, up to the 2n+16 window that near-ties
-    # still need.  gamma bounds every derivation's float sums (see the
-    # docstring): a derivation has at most one transition per node and one
-    # tag likelihood per leaf, and the 8 spare terms raise the threshold by
-    # about 16u|b|, more than the 4u|b| its own rounding can take off.
+    # K: a derivation has at most one transition per node and one tag
+    # likelihood per leaf; 8 spare terms raise the threshold by about
+    # 16u|b|, more than the 4u|b| its own rounding can take off
     k = 2 * len(forest.nodes) + 8
     gamma = k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
     shrink = (1 - gamma) / (1 + gamma)
@@ -459,15 +444,11 @@ def rank_nbest(
         if wanted == len(root):
             break
         score, sig, _, _, deriv = root[wanted]
-        # stop once no later root entry can place: root scores never rise,
-        # so every later entry's canonical score is at most score * shrink,
-        # below the n-th best canonical score so far
         if len(top_n) == n and score * shrink < top_n[0]:
-            break
+            break  # no later root entry can place
         # the canonical score: the log probabilities in post-order, summed
-        # as score_derivation(derivation_transitions(...)) sums them; the
-        # preorder with children pushed left to right is the post-order
-        # reversed
+        # as score_derivation(derivation_transitions(...)) sums them, read
+        # as the reverse of a preorder that pushes children left to right
         logs = []
         todo = [deriv]
         while todo:
@@ -601,8 +582,8 @@ def _count(field: str) -> float:
 
 
 def _probability(field: str) -> float:
-    """The read_records converter for a probability: in (0, 1], so that every
-    log probability rank_nbest sums is finite and at most 0."""
+    """The read_records converter for a probability: in (0, 1], so every log
+    probability rank_nbest sums is finite and at most 0."""
     p = float(field)
     if not 0.0 < p <= 1.0:
         raise FieldError("expected a probability in (0, 1], found %r" % field)
@@ -646,11 +627,8 @@ def load_model(path) -> ProbModel:
     probs: dict = {}
     unseen: dict = {}
     table_hash = ""
-    fields = {
-        "table": (str,),
-        "unseen": (int, unesc, _probability),
-        "prob": (*_TRANSITION, _probability),
-    }
+    fields = {"table": (str,), "unseen": (int, unesc, _probability),
+              "prob": (*_TRANSITION, _probability)}
     for record, values in read_records(path, "model", fields, ModelError):
         if record == "table":
             (table_hash,) = values
