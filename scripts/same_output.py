@@ -10,11 +10,11 @@ read those and the working tree's fixtures, so only the code differs.  A
 fixed list of default-format invocations runs in each tree: compile, parse
 --dump-forest, stats, rank (--nbest 1 and 10, --tag-likelihoods), train,
 eval, eval --parsed and ablate; rank also in tsv, whose %r log-probs show
-every bit.  Each runs as `python -m punclr.cli` in a
-directory of its own, without writing bytecode.  The script compares its
-stdout, its stderr (each tree's and each output directory's path replaced by
-a placeholder), its exit code and every file it wrote, prints one line per
-invocation, and exits 1 when any of them differs, naming each that does.
+every bit.  Each runs as `python -m punclr.cli` in a directory of its own,
+without writing bytecode.  The script compares its stdout, its stderr (each
+tree's and each output directory's path replaced by a placeholder), its
+exit code and every file it wrote, prints one line per invocation, and
+exits 1 when any of them differs, naming each that does.
 
 Standard library only.
 """
