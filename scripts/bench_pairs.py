@@ -3,17 +3,21 @@
 
     python3 scripts/bench_pairs.py --pr NUMBER --base HEAD --seed 5 --seed 7
 
-The base commit is exported with `git archive` into a temporary directory;
-the change is the working tree this script sits in.  The script refuses to
-run when the two trees' perfbench/ directories or BENCHMARK.json differ, so
-both sides are measured by the same benchmark.  For every pair it removes each src/ tree's
+Both sides run from fresh `git archive` exports in a temporary directory:
+the base commit, and the change as `git stash create` records the working
+tree's tracked files (HEAD when nothing is modified), so both are measured
+from alike directories.  The script refuses to run when src/ holds untracked
+files, which that export would leave out, and when the two trees'
+perfbench/ directories or BENCHMARK.json differ, so both sides are measured
+by the same benchmark.  For every pair it removes each src/ tree's
 __pycache__ directories, then runs the command BENCHMARK.json declares once
 per side (--workload W --seed N --seconds S --trace 0, S being its
 run_seconds), with PYTHONDONTWRITEBYTECODE=1, alternating which side goes
-first.  It makes ten pairs for every workload BENCHMARK.json declares.  It prints, per workload, seed and end-to-end metric, each
-side's median [q1, q3] and how many pairs the change won (ties count for
-neither side), and rewrites BENCH_<pr>.json in the working tree after every
-pair, so an interrupted session keeps the pairs it finished.
+first.  It makes ten pairs for every workload BENCHMARK.json declares.  It
+prints, per workload, seed and end-to-end metric, each side's median [q1,
+q3] and how many pairs the change won (ties count for neither side), and
+rewrites BENCH_<pr>.json in the working tree after every pair, with both
+commit ids, so an interrupted session keeps the pairs it finished.
 
 Standard library only; it reads BENCHMARK.json and the benchmark's JSON
 result line, and imports nothing from the benchmark.
@@ -156,16 +160,22 @@ def main(argv=None):
     seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
     out_path = ROOT / ("BENCH_%s.json" % args.pr)
+    untracked = git("ls-files", "--others", "--exclude-standard", "src")
+    if untracked:
+        raise SystemExit("error: src/ holds untracked files, which the change's "
+                         "export would leave out: " + ", ".join(untracked.split("\n")))
+    commits = {"base": git("rev-parse", args.base),
+               "change": git("stash", "create") or git("rev-parse", "HEAD")}
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        trees = {"base": export(args.base, scratch / "base"), "change": ROOT}
+        trees = {side: export(rev, scratch / side) for side, rev in commits.items()}
         diffs = benchmark_differences(trees["base"], trees["change"])
         if diffs:
             raise SystemExit("error: the benchmark differs between the trees: "
                              + ", ".join(diffs))
         record = {
-            "base": git("rev-parse", args.base),
-            "change": "working tree on " + git("rev-parse", "HEAD"),
+            "base": commits["base"],
+            "change": commits["change"],
             "command": spec["command"],
             "seconds": seconds,
             "env": RUN_ENV,

@@ -12,6 +12,7 @@ loads only what its subcommand runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import random
 import sys
@@ -616,8 +617,13 @@ def build_arg_parser():
 
 def main(argv=None) -> int:
     parser = build_arg_parser()
+    # Forests, GSS nodes and ranking heaps hold no reference cycles, so
+    # reference counting frees them all and the cyclic collector's passes
+    # would only rescan live objects.  --jobs pool workers inherit this.
+    was_enabled = gc.isenabled()
     try:
         args = parser.parse_args(argv)
+        gc.disable()
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
@@ -625,6 +631,9 @@ def main(argv=None) -> int:
     except (DataError, ModelError, GrammarError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,23 +9,22 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .glr import Tree
 from .trees import internal_spans
 
 
-@dataclass(frozen=True)
 class BracketSet:
-    length: int
-    spans: tuple  # multiset, kept as a sorted tuple of (start, end)
+    __slots__ = ("length", "spans")
 
-    def __post_init__(self):
-        for start, end in self.spans:
-            if not 0 <= start < end <= self.length:
+    def __init__(self, length: int, spans: tuple):
+        for start, end in spans:
+            if not 0 <= start < end <= length:
                 raise ValueError("span (%d, %d) outside sentence of length %d"
-                                 % (start, end, self.length))
-        object.__setattr__(self, "spans", tuple(sorted(self.spans)))
+                                 % (start, end, length))
+        self.length = length
+        self.spans = tuple(sorted(spans))  # multiset of (start, end)
 
     def multiset(self) -> Counter:
         return Counter(self.spans)
@@ -51,8 +50,7 @@ def crossing_count(candidate: BracketSet, gold: BracketSet) -> int:
     )
 
 
-@dataclass
-class GeigReport:
+class GeigReport(NamedTuple):
     zero_crossings: float  # fraction of sentences with no crossing
     mean_crossings: float
     recall: float
@@ -61,7 +59,7 @@ class GeigReport:
     matched: int
     gold_total: int
     candidate_total: int
-    rows: list = field(default_factory=list)  # (matched, gold, cand, crossings)
+    rows: list  # (matched, gold, cand, crossings)
 
     def format(self) -> str:
         lines = [
@@ -148,8 +146,7 @@ BUCKETS = (
 )
 
 
-@dataclass
-class CoverageStats:
+class CoverageStats(NamedTuple):
     buckets: dict  # bucket name -> sentence count, incl. "fails"/"time-outs"
     sentences: int
     mean_length: float

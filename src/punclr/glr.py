@@ -19,18 +19,19 @@ closure, so only a new forest node brings a new edge; a stack node's reduces
 are queued once bare and once per edge; and a path, popped once, differs from
 every other path into its forest node in some child.
 
-Bundle is a plain slotted dataclass, not a frozen one: a frozen dataclass's
-__init__ sets each field through object.__setattr__, which makes a bundle
-about three times as costly to build, and nothing hashes a bundle.
+Records are NamedTuples or plain slotted classes, not dataclasses: importing
+dataclasses and decorating the classes cost each process tens of
+milliseconds, and a frozen dataclass's __init__ sets each field through
+object.__setattr__.  Bundle, ForestNode and ForestLeaf are slotted classes,
+not tuples, because _children_first tells a node from a key tuple by its type.
 """
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from math import prod
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .grammar import (
     END_MARKER,
@@ -44,19 +45,17 @@ from .grammar import (
 from .lalr import EMPTY_ROW, LalrTable
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     word: str
     position: int
     labels: tuple  # ((label, likelihood), ...) non-increasing by likelihood
 
 
-@dataclass(frozen=True)
 class SentenceLattice:
-    tokens: tuple
+    __slots__ = ("tokens",)
 
-    def __post_init__(self):
-        for i, tok in enumerate(self.tokens):
+    def __init__(self, tokens: tuple):
+        for i, tok in enumerate(tokens):
             if tok.position != i:
                 raise ValueError("token positions must be consecutive from 0")
             if not tok.labels:
@@ -66,6 +65,7 @@ class SentenceLattice:
                     raise ValueError(
                         "likelihood %r for %s|%s outside (0, 1]" % (lik, tok.word, label)
                     )
+        self.tokens = tokens
 
     def __len__(self):
         return len(self.tokens)
@@ -81,23 +81,27 @@ def lattice_from_labels(labels) -> SentenceLattice:
     )
 
 
-@dataclass(slots=True)
 class Bundle:
-    production: int  # -1 for the virtual root (accept) bundle
-    children: tuple  # forest node keys, left to right
-    transition: tuple  # (state, lookahead, Action)
+    __slots__ = ("production", "children", "transition")
+
+    def __init__(self, production: int, children: tuple, transition: tuple):
+        self.production = production  # -1 for the virtual root (accept) bundle
+        self.children = children  # forest node keys, left to right
+        self.transition = transition  # (state, lookahead, Action)
 
 
-@dataclass(slots=True)
 class ForestLeaf:
-    key: tuple
-    label: str
-    word: str
-    position: int
-    likelihood: float
-    transition: tuple
+    __slots__ = ("key", "label", "word", "position", "likelihood", "transition")
+    residue = ()  # not a slot: a leaf carries no features
 
-    residue = ()  # not a field: a leaf carries no features
+    def __init__(self, key: tuple, label: str, word: str, position: int,
+                 likelihood: float, transition: tuple):
+        self.key = key
+        self.label = label
+        self.word = word
+        self.position = position
+        self.likelihood = likelihood
+        self.transition = transition
 
     @property
     def start(self):
@@ -108,14 +112,17 @@ class ForestLeaf:
         return self.position + 1
 
 
-@dataclass(slots=True)
 class ForestNode:
-    key: tuple
-    symbol: str
-    start: int
-    end: int
-    residue: tuple
-    bundles: list = field(default_factory=list)
+    __slots__ = ("key", "symbol", "start", "end", "residue", "bundles")
+
+    def __init__(self, key: tuple, symbol: str, start: int, end: int, residue: tuple,
+                 bundles: list):
+        self.key = key
+        self.symbol = symbol
+        self.start = start
+        self.end = end
+        self.residue = residue
+        self.bundles = bundles
 
 
 ROOT_KEY = ("root",)
@@ -123,8 +130,7 @@ _key = attrgetter("key")
 _residue = attrgetter("residue")
 
 
-@dataclass
-class ParseForest:
+class ParseForest(NamedTuple):
     """A packed forest of root-spanning analyses.
 
     nodes holds only nodes reachable from the root, in children-first order:
@@ -142,8 +148,7 @@ class ParseForest:
         return self.nodes[ROOT_KEY]
 
 
-@dataclass
-class ParseOutcome:
+class ParseOutcome(NamedTuple):
     status: str  # "ok" | "fail" | "timeout"
     forest: Optional[ParseForest] = None
     reason: str = ""
@@ -293,7 +298,7 @@ def parse_lattice(
                     if fnode is None:
                         # only a new forest node brings a new edge (see the
                         # module docstring)
-                        fnode = forest_nodes[fkey] = ForestNode(fkey, lhs, span_start, j, mother)
+                        fnode = forest_nodes[fkey] = ForestNode(fkey, lhs, span_start, j, mother, [])
                         edge = (bottom, fnode)
                         target = local.get(goto)
                         if target is None:
@@ -539,8 +544,7 @@ def derivation_signature(forest: ParseForest, deriv):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(NamedTuple):
     label: str
     children: tuple
     start: int

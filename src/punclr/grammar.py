@@ -12,8 +12,7 @@ import bisect
 import hashlib
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 ONE = "one"
 STAR = "star"
@@ -36,16 +35,23 @@ class GrammarError(Exception):
 _var_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class Var:
+class _VarFields(NamedTuple):
+    name: str
+    uid: int
+
+
+class Var(_VarFields):
     """A rule-scoped feature variable such as ?N.
 
     Identity, not name, is what matters: instantiating a rule makes fresh
-    variables, so bindings never leak between reductions.
+    variables, so bindings never leak between reductions.  Var(name) takes
+    the next uid from a process-wide counter.
     """
 
-    name: str
-    uid: int = field(default_factory=lambda: next(_var_counter))
+    __slots__ = ()
+
+    def __new__(cls, name: str, uid: Optional[int] = None):
+        return super().__new__(cls, name, next(_var_counter) if uid is None else uid)
 
     def __repr__(self):
         return "?%s#%d" % (self.name, self.uid)
@@ -56,8 +62,7 @@ def make_features(mapping: Mapping) -> tuple:
     return tuple(sorted(mapping.items()))
 
 
-@dataclass(frozen=True)
-class Category:
+class Category(NamedTuple):
     """A backbone symbol plus its flat feature constraints."""
 
     name: str
@@ -76,14 +81,12 @@ class Category:
         return "%s[%s]" % (self.name, inner)
 
 
-@dataclass(frozen=True)
-class Daughter:
+class Daughter(NamedTuple):
     cat: Category
     rep: str = ONE
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     mother: Category
     daughters: tuple
@@ -103,15 +106,13 @@ class Rule:
         return "%s: %s -> %s" % (self.id, self.mother, rhs)
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(NamedTuple):
     rules: tuple
     terminals: frozenset
     start: str
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(NamedTuple):
     """One backbone production; index is its id in the LR table."""
 
     index: int
@@ -123,16 +124,14 @@ class Production:
         return "p%d: %s -> %s" % (self.index, self.lhs, " ".join(self.rhs) or "<empty>")
 
 
-@dataclass(frozen=True)
-class ResidueSpec:
+class ResidueSpec(NamedTuple):
     """Feature constraints checked when a production is reduced."""
 
     mother: Category
     daughters: tuple  # Category per rhs position
 
 
-@dataclass(frozen=True)
-class CFBackbone:
+class CFBackbone(NamedTuple):
     productions: tuple
     terminals: frozenset
     start: str
@@ -600,7 +599,7 @@ def compile_backbone(grammar: Grammar):
     for rule in grammar.rules:
         for d in rule.daughters:
             if d.rep != ONE:
-                raise GrammarError("grammar is not Kleene-expanded: %s" % rule)
+                raise GrammarError("grammar is not Kleene-expanded: %s" % (rule,))
         idx = len(productions)
         productions.append(
             Production(idx, rule.mother.name, tuple(d.cat.name for d in rule.daughters), rule.id)
@@ -646,24 +645,30 @@ def _check_unit_cycles(backbone: CFBackbone):
                 x in nullable for j, x in enumerate(p.rhs) if j != i
             ):
                 edges.setdefault(p.lhs, set()).add(s)
-    # cycle detection over the unit-derivation graph
+    # cycle detection over the unit-derivation graph: a depth-first search
+    # with an explicit stack of (node, successors still to visit), so a long
+    # unit chain costs no interpreter recursion
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {n: WHITE for n in nonterminals}
-
-    def visit(n):
-        colour[n] = GREY
-        for m in edges.get(n, ()):
-            if colour[m] == GREY:
-                raise GrammarError(
-                    "grammar is infinitely ambiguous: cyclic unit derivation through %r" % m
-                )
-            if colour[m] == WHITE:
-                visit(m)
-        colour[n] = BLACK
-
-    for n in list(colour):
-        if colour[n] == WHITE:
-            visit(n)
+    for root in list(colour):
+        if colour[root] != WHITE:
+            continue
+        colour[root] = GREY
+        stack = [(root, iter(edges.get(root, ())))]
+        while stack:
+            n, successors = stack[-1]
+            for m in successors:
+                if colour[m] == GREY:
+                    raise GrammarError(
+                        "grammar is infinitely ambiguous: cyclic unit derivation through %r" % m
+                    )
+                if colour[m] == WHITE:
+                    colour[m] = GREY
+                    stack.append((m, iter(edges.get(m, ()))))
+                    break
+            else:
+                colour[n] = BLACK
+                stack.pop()
 
 
 def compile_grammar(grammar: Grammar):

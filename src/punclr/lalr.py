@@ -11,7 +11,7 @@ conflict is data, not an error.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .grammar import END_MARKER, CFBackbone, GrammarError, Production, nullable_symbols
 
@@ -20,8 +20,7 @@ REDUCE = "reduce"
 ACCEPT = "accept"
 
 
-@dataclass(frozen=True, order=True)
-class Action:
+class Action(NamedTuple):
     kind: str
     arg: int = -1
 
@@ -36,31 +35,35 @@ class Action:
 EMPTY_ROW = ((), (), None)
 
 
-@dataclass(frozen=True)
 class LalrTable:
-    backbone_hash: str
-    n_states: int
-    actions: dict  # (state, label) -> frozenset[Action]
-    gotos: dict  # (state, nonterminal) -> state
-    productions: tuple  # indexable by Action.arg for reduces
-    start_state: int = 0
-    # (state, label) -> (((reduce Action, arity), ...), (shift Action, ...),
-    # accept Action or None), each in sorted order, so the parser's visiting
-    # order depends on the table's contents alone
-    rows: dict = field(init=False, repr=False, compare=False)
-    _hash: str = field(default="", init=False, repr=False, compare=False)
+    """The LALR(1) table: per (state, label) action sets, gotos and the
+    productions that reduce actions index."""
 
-    def __post_init__(self):
+    __slots__ = ("backbone_hash", "n_states", "actions", "gotos", "productions",
+                 "start_state", "rows", "_hash")
+
+    def __init__(self, backbone_hash: str, n_states: int, actions: dict, gotos: dict,
+                 productions: tuple, start_state: int = 0):
+        self.backbone_hash = backbone_hash
+        self.n_states = n_states
+        self.actions = actions  # (state, label) -> frozenset[Action]
+        self.gotos = gotos  # (state, nonterminal) -> state
+        self.productions = productions  # indexable by Action.arg for reduces
+        self.start_state = start_state
+        # (state, label) -> (((reduce Action, arity), ...), (shift Action, ...),
+        # accept Action or None), each in sorted order, so the parser's visiting
+        # order depends on the table's contents alone
         rows = {}
-        for key, acts in self.actions.items():
+        for key, acts in actions.items():
             acts = sorted(acts)
             reduces = tuple(
-                (a, len(self.productions[a.arg].rhs)) for a in acts if a.kind == REDUCE
+                (a, len(productions[a.arg].rhs)) for a in acts if a.kind == REDUCE
             )
             shifts = tuple(a for a in acts if a.kind == SHIFT)
             accept = next((a for a in acts if a.kind == ACCEPT), None)
             rows[key] = (reduces, shifts, accept)
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows
+        self._hash = ""
 
     @property
     def action_count(self) -> int:
@@ -73,7 +76,7 @@ class LalrTable:
                 self.n_states,
                 self.action_count,
             )
-            object.__setattr__(self, "_hash", hashlib.sha256(text.encode()).hexdigest()[:16])
+            self._hash = hashlib.sha256(text.encode()).hexdigest()[:16]
         return self._hash
 
 

@@ -14,7 +14,6 @@ given factor of the top one is kept as well, boundary inclusive.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .glr import SentenceLattice, Token
 
@@ -23,22 +22,25 @@ class TaggedInputError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class TaggedToken:
-    word: str
-    hypotheses: tuple  # ((label, likelihood), ...) non-increasing
+    __slots__ = ("word", "hypotheses")
 
-    def __post_init__(self):
-        if not self.hypotheses:
-            raise TaggedInputError("token %r has no label hypotheses" % self.word)
-        for label, lik in self.hypotheses:
+    def __init__(self, word: str, hypotheses: tuple):
+        if not hypotheses:
+            raise TaggedInputError("token %r has no label hypotheses" % word)
+        for label, lik in hypotheses:
             if not 0 < lik <= 1:
                 raise TaggedInputError(
-                    "likelihood %r of %s|%s outside (0, 1]" % (lik, self.word, label)
+                    "likelihood %r of %s|%s outside (0, 1]" % (lik, word, label)
                 )
-        ordered = sorted(self.hypotheses, key=lambda h: (-h[1], h[0]))
-        if tuple(ordered) != self.hypotheses:
-            object.__setattr__(self, "hypotheses", tuple(ordered))
+        self.word = word
+        # ((label, likelihood), ...) non-increasing
+        self.hypotheses = tuple(sorted(hypotheses, key=lambda h: (-h[1], h[0])))
+
+    def __eq__(self, other):
+        if not isinstance(other, TaggedToken):
+            return NotImplemented
+        return (self.word, self.hypotheses) == (other.word, other.hypotheses)
 
 
 _SPLIT_RE = re.compile(r"(?<!\\)\|")

@@ -16,9 +16,8 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .glr import (
     ForestLeaf,
@@ -33,11 +32,13 @@ from .lalr import (Action, FieldError, LalrTable, ModelError, action_kind, esc,
                    read_records, unesc)
 
 
-@dataclass
 class TransitionCounts:
-    counts: dict  # (state, lookahead, Action) -> float
-    table_hash: str
-    total_histories: float = 0.0
+    __slots__ = ("counts", "table_hash", "total_histories")
+
+    def __init__(self, counts: dict, table_hash: str, total_histories: float = 0.0):
+        self.counts = counts  # (state, lookahead, Action) -> float
+        self.table_hash = table_hash
+        self.total_histories = total_histories
 
     def add_occurrences(self, occurrences: dict, histories: int, weight: float):
         """Add `histories` parse histories, each at `weight`, whose
@@ -133,11 +134,14 @@ def _adjusted_count_table(freq_of_freq: dict) -> dict:
     return table
 
 
-@dataclass
 class ProbModel:
-    probs: dict  # (state, lookahead, Action) -> probability
-    unseen: dict  # (state, lookahead) -> probability of each unseen action there
-    table_hash: str
+    __slots__ = ("probs", "unseen", "table_hash", "_floor_cache")
+
+    def __init__(self, probs: dict, unseen: dict, table_hash: str):
+        self.probs = probs  # (state, lookahead, Action) -> probability
+        self.unseen = unseen  # (state, lookahead) -> probability of each unseen action there
+        self.table_hash = table_hash
+        self._floor_cache = None
 
     def prob(self, state, lookahead, action) -> float:
         p = self.probs.get((state, lookahead, action))
@@ -149,7 +153,7 @@ class ProbModel:
         return self._floor()
 
     def _floor(self) -> float:
-        if not hasattr(self, "_floor_cache"):
+        if self._floor_cache is None:
             candidates = list(self.unseen.values()) or list(self.probs.values())
             self._floor_cache = min(candidates)
         return self._floor_cache
@@ -231,8 +235,7 @@ def score_derivation(transitions, model: ProbModel) -> float:
     return sum(math.log(model.prob(s, l, a)) for s, l, a in transitions)
 
 
-@dataclass(frozen=True)
-class RankedAnalysis:
+class RankedAnalysis(NamedTuple):
     tree: object
     log_prob: float
     rank: int

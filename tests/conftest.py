@@ -1,4 +1,6 @@
+import contextlib
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
@@ -21,3 +23,26 @@ def compile_fixture(name):
     grammar = load_grammar(FIXTURES / name)
     backbone, residues = compile_grammar(grammar)
     return grammar, backbone, residues, build_lalr(backbone)
+
+
+def unit_chain_grammar(links, cyclic=False):
+    """A0 -> A1 -> ... -> A<links> -> 'a', each a unit production; with
+    cyclic, also A<links> -> A0."""
+    rules = ["A%d -> A%d ;\n" % (i, i + 1) for i in range(links)]
+    rules.append("A%d -> 'a' ;\n" % links)
+    if cyclic:
+        rules.append("A%d -> A0 ;\n" % links)
+    return "%start A0\n" + "".join(rules)
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames):
+    """Lower the interpreter's recursion limit to `frames` above the caller's
+    depth, so that code recursing once per input item fails on any input
+    longer than that, whatever order it happens to visit the items in."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import subprocess
@@ -6,8 +7,9 @@ import time
 
 import pytest
 
+from punclr import cli
 from punclr.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, recursion_headroom, unit_chain_grammar
 
 
 def run(capsys, *argv):
@@ -615,8 +617,9 @@ def test_out_of_range_option_is_usage_error(capsys, tmp_path, command, option, v
 
 
 def test_importing_the_cli_leaves_the_process_pool_out(tmp_path):
-    """Importing the CLI loads no process pool, and compile, parse and stats
-    load no model, evaluation or treebank code they do not run."""
+    """Importing the CLI loads no process pool; compile, parse and stats
+    load no model, evaluation or treebank code they do not run; and no
+    command loads dataclasses or the inspect module it imports."""
     src = str(FIXTURES.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = """
@@ -626,23 +629,131 @@ from punclr import cli
 def loaded(names):
     print(sorted(set(names) & set(sys.modules)), file=sys.stderr)
 
-grammar, sentences, dump = sys.argv[1:]
+grammar, sentences, dump, treebank, gold, model = sys.argv[1:]
 pool = {"concurrent.futures", "multiprocessing"}
 unused = {"punclr.model", "punclr.trees", "fractions"}
-loaded(pool)
+heavy = {"dataclasses", "inspect"}
+loaded(pool | heavy)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["compile", grammar]) == 0
+    loaded(heavy)
     assert cli.main(["parse", "--grammar", grammar, "--dump-forest", dump, sentences]) == 0
-    loaded(pool | unused | {"punclr.evalmetrics"})
+    loaded(pool | unused | heavy | {"punclr.evalmetrics"})
     assert cli.main(["stats", "--grammar", grammar, sentences]) == 0
-    loaded(pool | unused - {"punclr.trees"})
+    loaded(pool | heavy | unused - {"punclr.trees"})
+    assert cli.main(["train", "--grammar", grammar, "--treebank", treebank,
+                     "--model-out", model]) == 0
+    loaded(pool | heavy)
+    assert cli.main(["rank", "--grammar", grammar, "--model", model, "--nbest", "3",
+                     sentences]) == 0
+    loaded(pool | heavy)
+    assert cli.main(["eval", "--grammar", grammar, "--model", model, "--gold", gold]) == 0
+    loaded(pool | heavy)
 """
     sentences = _tagged(tmp_path, "a|a:1.0 a|a:1.0 a|a:1.0\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, str(FIXTURES / "catalan.gr"), str(sentences),
-         str(tmp_path / "forests")],
+         str(tmp_path / "forests"), str(FIXTURES / "catalan_train.tb"),
+         str(FIXTURES / "catalan_test.tb"), str(tmp_path / "model.txt")],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["[]", "[]", "[]"]
+    assert proc.stderr.splitlines() == ["[]"] * 7
     assert (tmp_path / "forests" / "sentence000.forest").exists()
+
+
+def test_long_unit_chain_grammar_compiles_and_parses(capsys, tmp_path):
+    grammar = tmp_path / "chain.gr"
+    grammar.write_text(unit_chain_grammar(1500))
+    with recursion_headroom(200):
+        code, out, err = run(capsys, "compile", grammar, "--format", "tsv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split("\t")[:4] == ["1501", "1501", "1503", "1503"]
+        code, out, err = run(capsys, "parse", "--grammar", grammar,
+                             _tagged(tmp_path, "a|a:1.0\n"))
+    assert (code, err) == (0, "")
+    assert out.split() == ["sentence", "0", "ok", "1", "parses"]
+
+
+def _cyclic_garbage(argv):
+    """Exit code, and the objects in reference cycles that main(argv) left
+    behind, as (their number, the punclr classes among their types)."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main([str(a) for a in argv])
+        gc.collect()
+        found = (len(gc.garbage),
+                 {type(o) for o in gc.garbage if type(o).__module__.startswith("punclr")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    return code, found
+
+
+def test_commands_leave_no_cycles_that_grow_with_the_input(capsys, tmp_path):
+    """main runs each command with the cyclic collector off.  That is only
+    safe while the pipeline makes no reference cycles: with collection off
+    and every cycle saved, each command leaves the same cyclic garbage for one
+    sentence as for forty, and none of it is a punclr object other than the
+    argument parser."""
+    grammar = FIXTURES / "catalan.gr"
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage = {}
+        for n in (1, 40):
+            lengths = [2 + i % 7 for i in range(n)]
+            sentences = _tagged(tmp_path, "".join("a|a:1.0 " * k + "\n" for k in lengths))
+            trees = tmp_path / ("trees%d.tb" % n)
+            trees.write_text("".join("(X a " * (k - 1) + "a" + ")" * (k - 1) + "\n"
+                                     for k in lengths))
+            model = tmp_path / ("model%d.txt" % n)
+            commands = {
+                "compile": ["compile", grammar],
+                "parse": ["parse", "--grammar", grammar, sentences],
+                "stats": ["stats", "--grammar", grammar, sentences],
+                "train": ["train", "--grammar", grammar, "--treebank", trees,
+                          "--model-out", model],
+                "rank": ["rank", "--grammar", grammar, "--model", model, "--nbest", "3",
+                         sentences],
+                "eval": ["eval", "--grammar", grammar, "--model", model, "--gold", trees],
+            }
+            for name, argv in commands.items():
+                code, found = _cyclic_garbage(argv)
+                assert code == 0, (name, capsys.readouterr().err)
+                garbage.setdefault(name, []).append(found)
+        capsys.readouterr()
+    finally:
+        if was_enabled:
+            gc.enable()
+    for name, (one, forty) in garbage.items():
+        assert one == forty, name
+        assert one[1] <= {cli._Parser}, name
+
+
+def test_main_switches_the_collector_off_for_the_command_only(capsys, tmp_path, monkeypatch):
+    seen = []
+    compile_command = cli.cmd_compile
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return compile_command(args)
+
+    monkeypatch.setattr(cli, "cmd_compile", spy)
+    unusable = tmp_path / "unusable.tb"
+    unusable.write_text("(X b b)\n")
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert run(capsys, "compile", FIXTURES / "catalan.gr")[0] == 0
+            assert gc.isenabled() == enabled
+            code, _, err = run(capsys, "train", "--grammar", FIXTURES / "catalan.gr",
+                               "--treebank", unusable, "--model-out", tmp_path / "m.txt")
+            assert (code, err) == (2, "error: no usable treebank sentences (of 1 read)\n")
+            assert gc.isenabled() == enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert seen == [False, False]

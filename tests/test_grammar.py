@@ -13,6 +13,7 @@ from punclr.grammar import (
     residue_signature,
     unify,
 )
+from conftest import recursion_headroom, unit_chain_grammar
 from oracles import language_of_backbone, language_of_grammar
 
 MINI = "%start S\n%terminals NP VP\nS -> NP[num=?N] VP[num=?N] ;\n"
@@ -269,6 +270,20 @@ def test_unit_cycle_rejected():
     with pytest.raises(GrammarError) as exc:
         compile_grammar(parse_grammar_file(text))
     assert "ambiguous" in str(exc.value)
+
+
+def test_long_unit_chain_compiles_without_recursion():
+    grammar = parse_grammar_file(unit_chain_grammar(1500))
+    with recursion_headroom(200):
+        backbone, _ = compile_grammar(grammar)
+    assert len(backbone.productions) == 1501
+
+
+def test_unit_cycle_behind_long_chain_rejected():
+    grammar = parse_grammar_file(unit_chain_grammar(1500, cyclic=True))
+    with recursion_headroom(200), pytest.raises(GrammarError) as exc:
+        compile_grammar(grammar)
+    assert "grammar is infinitely ambiguous: cyclic unit derivation through 'A" in str(exc.value)
 
 
 def test_nested_star_nullable_rejected():
