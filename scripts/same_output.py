@@ -6,14 +6,18 @@
 The base commit is exported with git archive (bench_pairs.export) into a
 temporary directory; the change is the working tree this script sits in.
 perfbench/gen.py writes the benchmark's seed-5 inputs once, and both trees
-read those and the working tree's fixtures, so only the code differs.  A
-fixed list of default-format invocations runs in each tree: compile, parse
---dump-forest, stats, rank (--nbest 1 and 10, --tag-likelihoods), train,
-eval, eval --parsed and ablate; rank also in tsv, whose %r log-probs show
-every bit.  Each runs as `python -m punclr.cli` in a directory of its own,
-without writing bytecode.  The script compares its stdout, its stderr (each
-tree's and each output directory's path replaced by a placeholder), its
-exit code and every file it wrote, prints one line per invocation, and
+read those, two grammars the script writes (a 750-link unit chain and a
+grammar with a unit cycle) and the working tree's fixtures, so only the
+code differs.  A fixed list of default-format invocations runs in each
+tree: compile, parse --dump-forest, stats, rank (--nbest 1 and 10,
+--tag-likelihoods), train, eval, eval --parsed and ablate; rank also in
+tsv, whose %r log-probs show every bit.  Each runs as `python -m
+punclr.cli` in a directory of its own, without writing bytecode: once in
+the base tree under PYTHONHASHSEED=1, and twice in the working tree, under
+PYTHONHASHSEED=1 and 2, so output that follows string hashing shows as a
+difference too.  The script compares the runs' stdout, their stderr (each
+tree's and each output directory's path replaced by a placeholder), their
+exit codes and every file they wrote, prints one line per invocation, and
 exits 1 when any of them differs, naming each that does.
 
 Standard library only.
@@ -33,6 +37,21 @@ from bench_pairs import ROOT, export
 FIX = ROOT / "fixtures"
 
 
+# (side, PYTHONHASHSEED) of the three runs of every invocation; the first
+# is compared with the second, and the second with the third
+RUNS = (("base", "1"), ("change", "1"), ("change", "2"))
+CHAIN_LINKS = 750
+CYCLIC = "%start X\nX -> Y ;\nY -> X ;\nX -> 'a' ;\n"
+
+
+def write_grammars(gen: Path):
+    """The unit chain A0 -> A1 -> ... -> A750 -> 'a' and a grammar whose unit
+    derivations X -> Y -> X form a cycle, in gen."""
+    chain = "".join("A%d -> A%d ;\n" % (i, i + 1) for i in range(CHAIN_LINKS))
+    (gen / "chain.gr").write_text("%%start A0\n%sA%d -> 'a' ;\n" % (chain, CHAIN_LINKS))
+    (gen / "cyclic.gr").write_text(CYCLIC)
+
+
 def invocations(gen: Path) -> list:
     """(name, argv) pairs, in the order they run.  An argv may read what an
     earlier invocation wrote through ../NAME/FILE."""
@@ -40,6 +59,9 @@ def invocations(gen: Path) -> list:
     out = [("compile " + g, ["compile", FIX / (g + ".gr"), "-o", "table.txt"])
            for g in ("agree", "agree_relaxed", "catalan", "commatext", "integrated",
                      "tagseq")]
+    out.append(("compile %d-link unit chain" % CHAIN_LINKS,
+                ["compile", gen / "chain.gr", "-o", "table.txt"]))
+    out.append(("compile unit cycle", ["compile", gen / "cyclic.gr"]))
     sentences = [
         ("fixture tagseq", "tagseq", FIX / "tagged_example.txt", []),
         ("fixture integrated", "integrated", FIX / "tagged_example.txt", []),
@@ -96,12 +118,14 @@ def invocations(gen: Path) -> list:
     return out
 
 
-def run(tree: Path, outdir: Path, name: str, argv) -> dict:
-    """One invocation in tree, run in outdir/name: its stdout, normalised
-    stderr, exit code and written files (relative path -> bytes)."""
+def run(tree: Path, outdir: Path, name: str, argv, hash_seed: str) -> dict:
+    """One invocation in tree, run in outdir/name under PYTHONHASHSEED
+    hash_seed: its stdout, normalised stderr, exit code and written files
+    (relative path -> bytes)."""
     cwd = outdir / name
     cwd.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONHASHSEED=hash_seed)
     proc = subprocess.run([sys.executable, "-m", "punclr.cli", *map(str, argv)], cwd=cwd,
                           env=env, capture_output=True)
     stderr = proc.stderr.replace(str(tree).encode(), b"<tree>")
@@ -124,13 +148,16 @@ def main(argv=None):
         subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), "5",
                         "--out", str(gen)], check=True, capture_output=True,
                        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
-        outdirs = {side: scratch / ("out-" + side) for side in trees}
+        write_grammars(gen)
+        outdirs = {key: scratch / ("out-%s-%s" % key) for key in RUNS}
         for outdir in outdirs.values():
             outdir.mkdir()
         differ = []
         for name, cmd in invocations(gen):
-            base, change = (run(trees[side], outdirs[side], name, cmd) for side in trees)
+            base, change, reseeded = (run(trees[side], outdirs[side, seed], name, cmd, seed)
+                                      for side, seed in RUNS)
             what = [k for k in base if base[k] != change[k]]
+            what += [k + " under seed 2" for k in change if change[k] != reseeded[k]]
             print("%-6s %s%s" % ("DIFFER" if what else "same", name,
                                  "  (%s)" % ", ".join(what) if what else ""), flush=True)
             if what:

@@ -26,9 +26,6 @@ class BracketSet:
         self.length = length
         self.spans = tuple(sorted(spans))  # multiset of (start, end)
 
-    def multiset(self) -> Counter:
-        return Counter(self.spans)
-
 
 def extract_brackets(tree: Tree) -> BracketSet:
     """One span per internal node of length >= 2; labels discarded."""
@@ -92,12 +89,11 @@ def geig_report(pairs) -> GeigReport:
     crossings = []
     rows = []
     for cand, gold in pairs:
-        inter = cand.multiset() & gold.multiset()
-        m = sum(inter.values())
+        m = sum((Counter(cand.spans) & Counter(gold.spans)).values())
         x = crossing_count(cand, gold)
         matched += m
-        gold_total += sum(gold.multiset().values())
-        cand_total += sum(cand.multiset().values())
+        gold_total += len(gold.spans)
+        cand_total += len(cand.spans)
         crossings.append(x)
         rows.append((m, len(gold.spans), len(cand.spans), x))
     return GeigReport(

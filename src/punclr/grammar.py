@@ -607,7 +607,8 @@ def compile_backbone(grammar: Grammar):
         residues[idx] = ResidueSpec(rule.mother, tuple(d.cat for d in rule.daughters))
     backbone = CFBackbone(tuple(productions), grammar.terminals, grammar.start)
     _check_unit_cycles(backbone)
-    unproductive = backbone.nonterminals() - _deriving(backbone, backbone.terminals)
+    productive = least_closed(((p.lhs, p.rhs) for p in productions), grammar.terminals)
+    unproductive = backbone.nonterminals() - productive
     if unproductive:
         raise GrammarError(
             "nonterminals that derive no terminal string: %s"
@@ -616,59 +617,59 @@ def compile_backbone(grammar: Grammar):
     return backbone, residues
 
 
-def _deriving(backbone: CFBackbone, seed) -> set:
-    """The least set holding seed and every symbol with a production whose
-    right-hand side lies wholly in the set: the symbols that derive some
-    string over seed."""
-    out = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for p in backbone.productions:
-            if p.lhs not in out and all(s in out for s in p.rhs):
-                out.add(p.lhs)
-                changed = True
+def least_closed(clauses, seed=()) -> set:
+    """The least set that holds seed and the head of every clause (head,
+    body) whose body lies wholly in it.  Each clause counts its body symbols
+    still outside, and each symbol added counts down the clauses it occurs
+    in (Dowling & Gallier 1984), so the cost is linear in the clauses' size."""
+    heads, missing, occurs = [], [], {}
+    work = list(seed)
+    for head, body in clauses:
+        if not body:
+            work.append(head)
+        for sym in body:
+            occurs.setdefault(sym, []).append(len(heads))
+        heads.append(head)
+        missing.append(len(body))
+    out = set()
+    while work:
+        sym = work.pop()
+        if sym not in out:
+            out.add(sym)
+            for i in occurs.get(sym, ()):
+                missing[i] -= 1
+                if not missing[i]:
+                    work.append(heads[i])
     return out
 
 
 def nullable_symbols(backbone: CFBackbone) -> set:
-    return _deriving(backbone, ())
+    return least_closed((p.lhs, p.rhs) for p in backbone.productions)
 
 
 def _check_unit_cycles(backbone: CFBackbone):
+    """Reject cyclic unit derivations.  n's unit successors are the
+    nonterminals in n's right-hand sides whose siblings are all nullable.
+    Outside the least set closed under `n <- n's unit successors` lie the
+    nonterminals on a cycle or leading to one; walking from the first of
+    them along first successors outside, in production order, repeats a
+    symbol on a cycle, and the error names it."""
     nullable = nullable_symbols(backbone)
-    nonterminals = backbone.nonterminals()
-    edges: dict = {}
+    successors = {p.lhs: {} for p in backbone.productions}  # insertion-ordered sets
     for p in backbone.productions:
-        for i, s in enumerate(p.rhs):
-            if s in nonterminals and all(
-                x in nullable for j, x in enumerate(p.rhs) if j != i
-            ):
-                edges.setdefault(p.lhs, set()).add(s)
-    # cycle detection over the unit-derivation graph: a depth-first search
-    # with an explicit stack of (node, successors still to visit), so a long
-    # unit chain costs no interpreter recursion
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {n: WHITE for n in nonterminals}
-    for root in list(colour):
-        if colour[root] != WHITE:
-            continue
-        colour[root] = GREY
-        stack = [(root, iter(edges.get(root, ())))]
-        while stack:
-            n, successors = stack[-1]
-            for m in successors:
-                if colour[m] == GREY:
-                    raise GrammarError(
-                        "grammar is infinitely ambiguous: cyclic unit derivation through %r" % m
-                    )
-                if colour[m] == WHITE:
-                    colour[m] = GREY
-                    stack.append((m, iter(edges.get(m, ()))))
-                    break
-            else:
-                colour[n] = BLACK
-                stack.pop()
+        blocking = [s for s in p.rhs if s not in nullable]
+        if len(blocking) < 2:  # the one non-nullable symbol, or all when none is
+            successors[p.lhs].update((s, None) for s in blocking or p.rhs if s in successors)
+    acyclic = least_closed(successors.items())
+    left = [n for n in successors if n not in acyclic]
+    if left:
+        n, seen = left[0], set()
+        while n not in seen:
+            seen.add(n)
+            n = next(m for m in successors[n] if m not in acyclic)
+        raise GrammarError(
+            "grammar is infinitely ambiguous: cyclic unit derivation through %r" % n
+        )
 
 
 def compile_grammar(grammar: Grammar):

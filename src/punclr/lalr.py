@@ -90,22 +90,24 @@ def lookup_actions(table: LalrTable, state: int, lookahead: str) -> frozenset:
 
 
 def _first_sets(backbone: CFBackbone, nullable: set) -> dict:
-    first = {t: {t} for t in backbone.terminals}
-    nts = backbone.nonterminals()
-    for nt in nts:
-        first.setdefault(nt, set())
-    changed = True
-    while changed:
-        changed = False
-        for p in backbone.productions:
-            target = first[p.lhs]
-            before = len(target)
-            for sym in p.rhs:
-                target |= first.get(sym, set())
-                if sym not in nullable:
-                    break
-            if len(target) != before:
-                changed = True
+    """FIRST of every symbol, by a worklist over the `X can begin with Y`
+    relation (the digraph view of DeRemer & Pennello 1982): a symbol whose
+    set grew passes it on to the symbols that can begin with it."""
+    begins: dict = {}  # Y -> the left-hand sides X that can begin with Y
+    for p in backbone.productions:
+        for sym in p.rhs:
+            begins.setdefault(sym, set()).add(p.lhs)
+            if sym not in nullable:
+                break
+    first = {p.lhs: set() for p in backbone.productions}
+    first.update((t, {t}) for t in backbone.terminals)
+    work = list(backbone.terminals)
+    while work:
+        sym = work.pop()
+        for lhs in begins.get(sym, ()):
+            if not first[sym] <= first[lhs]:
+                first[lhs] |= first[sym]
+                work.append(lhs)
     return first
 
 

@@ -13,6 +13,9 @@ from punclr.grammar import (
     ONE,
     STAR,
     Bindings,
+    CFBackbone,
+    Production,
+    expand_kleene,
     rename_features,
     residue_signature,
     resolve_features,
@@ -381,6 +384,102 @@ def lalr_by_core_merge(backbone, end_marker="$end"):
                 states.add(target)
                 work.append(target)
     return core(start), transitions, finals
+
+
+def unchecked_backbone(grammar):
+    """The backbone compile_backbone builds from grammar after Kleene
+    expansion, without its unit-cycle and productivity checks."""
+    rules = expand_kleene(grammar).rules
+    productions = tuple(
+        Production(i, r.mother.name, tuple(d.cat.name for d in r.daughters), r.id)
+        for i, r in enumerate(rules)
+    )
+    return CFBackbone(productions, grammar.terminals, grammar.start)
+
+
+def deriving_by_sweeps(backbone, seed):
+    """The symbols that derive some string over seed: sweep every production
+    until a sweep adds no left-hand side."""
+    out = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for p in backbone.productions:
+            if p.lhs not in out and all(s in out for s in p.rhs):
+                out.add(p.lhs)
+                changed = True
+    return out
+
+
+def first_sets_by_sweeps(backbone, nullable):
+    """FIRST of every terminal and nonterminal: sweep every production
+    until no set grows."""
+    first = {t: {t} for t in backbone.terminals}
+    for p in backbone.productions:
+        first.setdefault(p.lhs, set())
+    changed = True
+    while changed:
+        changed = False
+        for p in backbone.productions:
+            target = first[p.lhs]
+            before = len(target)
+            for sym in p.rhs:
+                target |= first.get(sym, set())
+                if sym not in nullable:
+                    break
+            changed |= len(target) != before
+    return first
+
+
+def unit_edges(backbone, nullable):
+    """The unit-derivation graph: lhs -> each right-hand-side nonterminal
+    whose siblings are all nullable."""
+    nonterminals = {p.lhs for p in backbone.productions}
+    edges = {n: set() for n in nonterminals}
+    for p in backbone.productions:
+        for i, s in enumerate(p.rhs):
+            if s in nonterminals and all(x in nullable for j, x in enumerate(p.rhs) if j != i):
+                edges[p.lhs].add(s)
+    return edges
+
+
+def unit_cycle_by_colour_dfs(edges):
+    """A symbol on a cycle of edges, or None when there is none: an iterative
+    depth-first search that stops at the first grey (open) successor.  Which
+    symbol it finds depends on set order."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = {n: WHITE for n in edges}
+    for root in list(colour):
+        if colour[root] != WHITE:
+            continue
+        colour[root] = GREY
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            n, successors = stack[-1]
+            for m in successors:
+                if colour[m] == GREY:
+                    return m
+                if colour[m] == WHITE:
+                    colour[m] = GREY
+                    stack.append((m, iter(edges[m])))
+                    break
+            else:
+                colour[n] = BLACK
+                stack.pop()
+    return None
+
+
+def on_cycle(edges, symbol):
+    """Whether symbol reaches itself along edges."""
+    seen, work = set(), list(edges[symbol])
+    while work:
+        n = work.pop()
+        if n == symbol:
+            return True
+        if n not in seen:
+            seen.add(n)
+            work.extend(edges[n])
+    return False
 
 
 def tree_spans(tree, pos=0):

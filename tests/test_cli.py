@@ -272,6 +272,29 @@ def test_parse_output_independent_of_hash_seed(tmp_path):
     assert len(digests) == 1
 
 
+# in the second grammar the first nonterminal, S, only leads to the cycle
+CYCLIC = {"two": "%start X\nX -> Y ;\nY -> X ;\nX -> 'a' ;\n",
+          "behind": "%start S\nS -> X ;\nX -> Y ;\nY -> X ;\nY -> 'a' ;\n"}
+
+
+def test_cycle_error_independent_of_hash_seed(tmp_path):
+    src = str(FIXTURES.parent / "src")
+    for name, text in CYCLIC.items():
+        grammar = tmp_path / (name + ".gr")
+        grammar.write_text(text)
+        errors = set()
+        for seed in range(1, 9):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "punclr.cli", "compile", str(grammar)],
+                                  capture_output=True, env=env)
+            assert proc.returncode == 2, proc.stderr
+            errors.add(proc.stderr)
+        assert len(errors) == 1, (name, errors)
+        (error,) = errors
+        assert error.endswith((b"through 'X'\n", b"through 'Y'\n")), error
+
+
 def _catalan_gold(tmp_path, n):
     """A gold file of a right-branching n-leaf catalan tree, then (X a a)."""
     tree = "a"

@@ -1,9 +1,26 @@
+import ast
 import random
 
-from conftest import FIXTURES, compile_fixture
-from punclr.grammar import END_MARKER, GrammarError, compile_grammar, parse_grammar_file
-from punclr.lalr import ACCEPT, REDUCE, SHIFT, build_lalr, lookup_actions
-from oracles import lalr_by_core_merge, language_of_backbone
+from conftest import FIXTURES, compile_fixture, unit_chain_grammar
+from punclr.grammar import (
+    END_MARKER,
+    GrammarError,
+    compile_grammar,
+    least_closed,
+    nullable_symbols,
+    parse_grammar_file,
+)
+from punclr.lalr import ACCEPT, REDUCE, SHIFT, _first_sets, build_lalr, lookup_actions
+from oracles import (
+    deriving_by_sweeps,
+    first_sets_by_sweeps,
+    lalr_by_core_merge,
+    language_of_backbone,
+    on_cycle,
+    unchecked_backbone,
+    unit_cycle_by_colour_dfs,
+    unit_edges,
+)
 
 
 def table_for(text):
@@ -256,3 +273,60 @@ def test_fixture_tables_equal_canonical_lr1_core_merge():
         start, transitions, finals = lalr_by_core_merge(backbone)
         for state, core in aligned_states(table, start, transitions).items():
             assert finished_actions(table, state) == finals.get(core, {}), path.name
+
+
+def analyses_verdict(grammar):
+    """Check nullable, productive and FIRST sets and the unit-cycle verdict
+    against the production sweeps and the colour DFS; return why compiling
+    grammar fails ("cyclic" or "unproductive"), or None when it compiles."""
+    backbone = unchecked_backbone(grammar)
+    nullable = deriving_by_sweeps(backbone, ())
+    productive = deriving_by_sweeps(backbone, backbone.terminals)
+    assert nullable_symbols(backbone) == nullable
+    clauses = [(p.lhs, p.rhs) for p in backbone.productions]
+    assert least_closed(clauses, backbone.terminals) == productive
+    assert _first_sets(backbone, nullable) == first_sets_by_sweeps(backbone, nullable)
+    edges = unit_edges(backbone, nullable)
+    try:
+        compile_grammar(grammar)
+    except GrammarError as exc:
+        message = str(exc)
+    else:
+        message = None
+    if unit_cycle_by_colour_dfs(edges) is not None:
+        prefix = "grammar is infinitely ambiguous: cyclic unit derivation through "
+        assert (message or "").startswith(prefix), message
+        assert on_cycle(edges, ast.literal_eval(message[len(prefix):]))
+        return "cyclic"
+    unproductive = {p.lhs for p in backbone.productions} - productive
+    if unproductive:
+        assert message == "nonterminals that derive no terminal string: " + ", ".join(
+            repr(n) for n in sorted(unproductive))
+        return "unproductive"
+    assert message is None
+    return None
+
+
+def test_grammar_analyses_equal_sweeps_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.gr")):
+        grammar, _, _, _ = compile_fixture(path.name)
+        assert analyses_verdict(grammar) is None, path.name
+
+
+def test_grammar_analyses_equal_sweeps_on_random_grammars():
+    # the grammar stream of the core-merge test above: the first 500 that
+    # compile are the ones it checks
+    rng = random.Random(20261018)
+    verdicts = {None: 0, "cyclic": 0, "unproductive": 0}
+    while verdicts[None] < 500:
+        try:
+            grammar = parse_grammar_file(random_grammar_text(rng))
+        except GrammarError:
+            continue  # undefined symbols
+        verdicts[analyses_verdict(grammar)] += 1
+    assert verdicts["cyclic"] >= 1000 and verdicts["unproductive"] >= 300, verdicts
+
+
+def test_grammar_analyses_equal_sweeps_on_long_chains():
+    assert analyses_verdict(parse_grammar_file(unit_chain_grammar(1500))) is None
+    assert analyses_verdict(parse_grammar_file(unit_chain_grammar(1500, cyclic=True))) == "cyclic"
