@@ -6,12 +6,15 @@
 The base commit is exported with git archive (bench_pairs.export) into a
 temporary directory; the change is the working tree this script sits in.
 perfbench/gen.py writes the benchmark's seed-5 inputs once, and both trees
-read those, two grammars the script writes (a 750-link unit chain and a
-grammar with a unit cycle) and the working tree's fixtures, so only the
-code differs.  A fixed list of default-format invocations runs in each
-tree: compile, parse --dump-forest, stats, rank (--nbest 1 and 10,
---tag-likelihoods), train, eval, eval --parsed and ablate; rank also in
-tsv, whose %r log-probs show every bit.  Each runs as `python -m
+read those, the inputs the script writes (a 750-link unit chain, a grammar
+with a unit cycle, and the left-recursive chain S -> S 'a' with three
+training trees and one 2000-token sentence) and the working tree's
+fixtures, so only the code differs.  A fixed list of default-format
+invocations runs in each tree: compile, parse --dump-forest, stats, rank
+(--nbest 1 and 10, --tag-likelihoods), train, eval, eval --parsed and
+ablate; rank also in tsv, whose %r log-probs show every bit, on the
+2000-token chain (deep trees), and with --nbest 50 on the seed-5 catalan
+sentences, whose scores tie often.  Each runs as `python -m
 punclr.cli` in a directory of its own, without writing bytecode: once in
 the base tree under PYTHONHASHSEED=1, and twice in the working tree, under
 PYTHONHASHSEED=1 and 2, so output that follows string hashing shows as a
@@ -42,14 +45,20 @@ FIX = ROOT / "fixtures"
 RUNS = (("base", "1"), ("change", "1"), ("change", "2"))
 CHAIN_LINKS = 750
 CYCLIC = "%start X\nX -> Y ;\nY -> X ;\nX -> 'a' ;\n"
+DEEP_TOKENS = 2000
 
 
-def write_grammars(gen: Path):
-    """The unit chain A0 -> A1 -> ... -> A750 -> 'a' and a grammar whose unit
-    derivations X -> Y -> X form a cycle, in gen."""
+def write_inputs(gen: Path):
+    """In gen: the unit chain A0 -> A1 -> ... -> A750 -> 'a', a grammar
+    whose unit derivations X -> Y -> X form a cycle, and the left-recursive
+    chain S -> S 'a' with a treebank of three short chains and a sentence of
+    2000 a's."""
     chain = "".join("A%d -> A%d ;\n" % (i, i + 1) for i in range(CHAIN_LINKS))
     (gen / "chain.gr").write_text("%%start A0\n%sA%d -> 'a' ;\n" % (chain, CHAIN_LINKS))
     (gen / "cyclic.gr").write_text(CYCLIC)
+    (gen / "deep.gr").write_text("%start S\nS -> S 'a' ;\nS -> 'a' ;\n")
+    (gen / "deep.tb").write_text("(S a)\n(S (S a) a)\n(S (S (S a) a) a)\n")
+    (gen / "deep.txt").write_text(" ".join(["a|a:1.0"] * DEEP_TOKENS) + "\n")
 
 
 def invocations(gen: Path) -> list:
@@ -83,6 +92,8 @@ def invocations(gen: Path) -> list:
         out.append(("train " + name, ["train", "--grammar", FIX / (g + ".gr"),
                                       "--treebank", tb, "--model-out", "model",
                                       "--counts-out", "counts"]))
+    out.append(("train chain", ["train", "--grammar", gen / "deep.gr", "--treebank",
+                                gen / "deep.tb", "--model-out", "model"]))
     ranks = [
         ("fixture tagseq", "tagseq", "../train fixture tagseq/model",
          FIX / "tagged_example.txt"),
@@ -99,6 +110,12 @@ def invocations(gen: Path) -> list:
                     [*base, "--nbest", "10", "--tag-likelihoods"]))
         out.append(("rank --nbest 10 --format tsv " + name,
                     [*base, "--nbest", "10", "--format", "tsv"]))
+    out.append(("rank --nbest 10 --format tsv %d-token chain" % DEEP_TOKENS,
+                ["rank", "--grammar", gen / "deep.gr", "--model", "../train chain/model",
+                 gen / "deep.txt", "--nbest", "10", "--format", "tsv"]))
+    out.append(("rank --nbest 50 seed-5 catalan",
+                ["rank", "--grammar", FIX / "catalan.gr", "--model", rn / "catalan.model",
+                 rn / "catalan.txt", "--nbest", "50"]))
     for name, g, model, gold in (
         ("fixture catalan", "catalan", "../train fixture catalan/model",
          FIX / "catalan_test.tb"),
@@ -148,7 +165,7 @@ def main(argv=None):
         subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), "5",
                         "--out", str(gen)], check=True, capture_output=True,
                        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
-        write_grammars(gen)
+        write_inputs(gen)
         outdirs = {key: scratch / ("out-%s-%s" % key) for key in RUNS}
         for outdir in outdirs.values():
             outdir.mkdir()

@@ -561,20 +561,33 @@ def is_iteration_symbol(symbol: str) -> bool:
     return "*" in symbol
 
 
-def derivation_to_tree(forest: ParseForest, deriv) -> Tree:
+def derivation_to_tree(forest: ParseForest, deriv, memo: Optional[dict] = None) -> Tree:
     """Labelled tree for one derivation; Kleene iteration auxiliaries are
-    spliced away so a starred daughter shows up as a flat sibling list."""
-    built = [[]]  # per open subderivation, the trees of its finished children
-    for entering, (key, _, _) in walk_derivation(deriv):
+    spliced away so a starred daughter shows up as a flat sibling list.
+
+    memo maps id() of subderivation tuples to their trees, and is read and
+    filled: derivations that share a subderivation object, as k-best entries
+    do, then share its tree, built once.  Splicing is local to one node, so
+    a subderivation's tree is the same under every parent.  The caller keeps
+    the derivations alive while the memo is in use, so no id is reused."""
+    if memo is None:
+        memo = {}
+    stack = [(True, deriv)]
+    while stack:
+        entering, d = stack.pop()
         if entering:
-            built.append([])
+            if id(d) not in memo:
+                stack.append((False, d))
+                stack += [(True, child) for child in d[2]]
             continue
         kids = []
-        for sub in built.pop():
+        for child in d[2]:
+            sub = memo[id(child)]
             if is_iteration_symbol(sub.label):
                 kids.extend(sub.children)
             else:
                 kids.append(sub)
+        key = d[0]
         node = forest.nodes[key]
         if isinstance(node, ForestLeaf):
             tree = Tree(node.label, (), node.start, node.end, node.word)
@@ -582,8 +595,8 @@ def derivation_to_tree(forest: ParseForest, deriv) -> Tree:
             tree = kids[0]
         else:
             tree = Tree(node.symbol, tuple(kids), node.start, node.end)
-        built[-1].append(tree)
-    return built[0][0]
+        memo[id(d)] = tree
+    return memo[id(deriv)]
 
 
 def export_forest(forest: ParseForest) -> str:

@@ -239,7 +239,7 @@ class RankedAnalysis(NamedTuple):
     tree: object
     log_prob: float
     rank: int
-    signature: tuple
+    signature: tuple  # nested: (("p", production), child's, ...) or (("t", label),)
     derivation: tuple
 
 
@@ -249,11 +249,13 @@ class RankTimeout(Exception):
 
 class _Signature(tuple):
     """A derivation signature as a 1-tuple holding its nested form,
-    (("p", production), child's nested form, ...) or (("t", label),): O(arity)
-    to build, where the flat preorder costs O(subtree).  A preorder whose
-    productions fix their arity is prefix-free, so nested forms compare as
-    the flat ones do; past the depth a comparison may recurse to, the flat
-    preorders are compared instead."""
+    (("p", production), child's nested form, ...) or (("t", label),), for
+    the comparisons that cannot catch a RecursionError themselves (heap
+    pushes and sorts).  A nested form is O(arity) to build, where the flat
+    preorder costs O(subtree).  A preorder whose productions fix their arity
+    is prefix-free, so nested forms compare as the flat ones do; past the
+    depth a comparison may recurse to, the flat preorders are compared
+    instead."""
 
     __slots__ = ()
 
@@ -328,45 +330,41 @@ def rank_nbest(
             lp = log_probs[transition] = math.log(model.prob(*transition))
         return lp
 
-    # per node: the entries ranked so far as (score, signature, bundle
-    # index, child ranks, derivation); from the first time a second entry
-    # is wanted, also the candidate heap of the same tuples with the score
-    # negated and the (bundle, ranks) pairs ever pushed
+    # per node: the entries ranked so far as (score, nested signature,
+    # bundle index, child ranks, derivation); from the first time a second
+    # entry is wanted, also the candidate heap of the same tuples with the
+    # score negated and the signature a _Signature, and the (bundle, ranks)
+    # pairs ever pushed
     lists: dict = {}
     heaps: dict = {}
     pushed: dict = {}
     exhausted: set = set()  # nodes with no further entries
     own_scores: dict = {}  # leaf -> log probability, node -> one per bundle
 
-    def candidate(key, bi, ranks):
-        """The entry of bundle bi over the children's entries at ranks, or
-        None when a child has no entry at its rank."""
+    def push(key, bi, ranks):
+        """Push the entry of bundle bi over the children's entries at ranks,
+        unless pushed before or a child has no entry at its rank."""
+        if (bi, ranks) in pushed[key]:
+            return
+        pushed[key].add((bi, ranks))
         b = forest.nodes[key].bundles[bi]
         score = own_scores[key][bi]
         sig = [("p", b.production)]
         children = []
         for ck, r in zip(b.children, ranks):
             if r >= len(lists[ck]):
-                return None
+                return
             cs, csig, _, _, cd = lists[ck][r]
             score += cs
-            sig.append(csig[0])
+            sig.append(csig)
             children.append(cd)
-        return score, _Signature((tuple(sig),)), bi, ranks, (key, bi, tuple(children))
-
-    def push(key, bi, ranks):
-        if (bi, ranks) in pushed[key]:
-            return
-        pushed[key].add((bi, ranks))
-        entry = candidate(key, bi, ranks)
-        if entry is not None:
-            score, sig, _, _, deriv = entry
-            heapq.heappush(heaps[key], (-score, sig, bi, ranks, deriv))
+        heapq.heappush(heaps[key], (-score, _Signature((tuple(sig),)), bi, ranks,
+                                    (key, bi, tuple(children))))
 
     def pop(key):
         if heaps[key]:
             negscore, sig, bi, ranks, deriv = heapq.heappop(heaps[key])
-            lists[key].append((-negscore, sig, bi, ranks, deriv))
+            lists[key].append((-negscore, sig[0], bi, ranks, deriv))
         else:
             exhausted.add(key)
 
@@ -381,34 +379,36 @@ def rank_nbest(
 
     # every node's best entry, children first: the bundle with the highest
     # score over its children's best entries, the smallest signature among
-    # equal scores and the lowest bundle index among equal signatures (min
-    # keeps the first), as a heap of all first candidates would pop it
+    # equal scores and the lowest bundle index among equal signatures, as a
+    # heap of all first candidates would pop it.  The entry is built from the
+    # score and the nested signature compared; signatures compare as plain
+    # tuples, in C, and as flat preorders past the depth that may recurse to
     for key, node in forest.nodes.items():
         if isinstance(node, ForestLeaf):
             score = own_scores[key] = log_prob(node.transition)
             if include_tag_likelihoods:
                 score += math.log(node.likelihood)
-            sig = _Signature(((("t", node.label),),))
-            lists[key] = [(score, sig, None, (), (key, None, ()))]
+            lists[key] = [(score, (("t", node.label),), None, (), (key, None, ()))]
             exhausted.add(key)
             continue
-        own = own_scores[key] = [log_prob(b.transition) for b in node.bundles]
+        bundles = node.bundles
+        own = own_scores[key] = [log_prob(b.transition) for b in bundles]
         scores = []
-        for b, score in zip(node.bundles, own):
+        for b, score in zip(bundles, own):
             for ck in b.children:
                 score += lists[ck][0][0]
             scores.append(score)
         best = max(scores)
-        bi = scores.index(best)
-        if scores.count(best) > 1:
-            bi = min(
-                (i for i, score in enumerate(scores) if score == best),
-                key=lambda i: _Signature(((
-                    ("p", node.bundles[i].production),
-                    *[lists[ck][0][1][0] for ck in node.bundles[i].children],
-                ),)),
-            )
-        lists[key] = [candidate(key, bi, (0,) * len(node.bundles[bi].children))]
+        tied = [((("p", bundles[i].production),
+                  *[lists[ck][0][1] for ck in bundles[i].children]), i)
+                for i, score in enumerate(scores) if score == best]
+        try:
+            sig, bi = min(tied)
+        except RecursionError:
+            sig, bi = min(tied, key=lambda e: _preorder(e[0]))
+        children = bundles[bi].children
+        lists[key] = [(best, sig, bi, (0,) * len(children),
+                       (key, bi, tuple([lists[ck][0][4] for ck in children])))]
 
     # K: a derivation has at most one transition per node and one tag
     # likelihood per leaf; 8 spare terms raise the threshold by about
@@ -467,11 +467,11 @@ def rank_nbest(
             heapq.heappush(top_n, canonical)
         else:
             heapq.heappushpop(top_n, canonical)
-    rescored.sort(key=lambda e: (-e[0], e[1]))
+    rescored.sort(key=lambda e: (-e[0], _Signature((e[1],))))
 
+    trees: dict = {}  # shared by the analyses, whose derivations share subderivations
     return [
-        RankedAnalysis(derivation_to_tree(forest, deriv), score, rank,
-                       _preorder(sig[0]), deriv)
+        RankedAnalysis(derivation_to_tree(forest, deriv, trees), score, rank, sig, deriv)
         for rank, (score, sig, deriv) in enumerate(rescored[:n], 1)
     ]
 

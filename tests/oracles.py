@@ -496,3 +496,18 @@ def tree_spans(tree, pos=0):
     spans.append((pos, end))
     spans.extend(child_spans)
     return spans, end
+
+
+def flat_signature(nested):
+    """The flat preorder of a nested derivation signature, as
+    RankedAnalysis.signature holds it, (("p", production), child's, ...) or
+    (("t", label),): each node's head, then its children's preorders left to
+    right, as derivation_signature gives it.  Iterative, so signatures nested
+    past the recursion limit flatten too."""
+    out = []
+    todo = [nested]
+    while todo:
+        node = todo.pop()
+        out.append(node[0])
+        todo.extend(node[:0:-1])
+    return tuple(out)

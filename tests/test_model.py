@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -42,6 +43,8 @@ from punclr.model import (
 )
 from punclr.lattice import read_tagged_file, to_lattice
 from punclr.trees import format_tree, parse_tree_line, read_treebank, tree_leaves
+
+from oracles import flat_signature
 
 CATALAN = "%start X\nX -> X X ;\nX -> 'a' ;\n"
 
@@ -285,11 +288,11 @@ def test_rank_matches_bruteforce_oracle(n_tokens):
     oracle = nbest_oracle(outcome.forest, model, total)
     assert len(ranked) == len(oracle) == total
     for got, (score, sig, _) in zip(ranked, oracle):
-        assert got.signature == sig
+        assert flat_signature(got.signature) == sig
         assert abs(got.log_prob - score) < 1e-12
     # and n=1 is the argmax
     top = rank_nbest(outcome.forest, model, 1)[0]
-    assert top.signature == oracle[0][1]
+    assert flat_signature(top.signature) == oracle[0][1]
 
 
 def test_rank_hash_mismatch_rejected():
@@ -328,7 +331,8 @@ def test_rank_nbest_equals_enumeration_top_n_on_random_models(data):
     model = smooth_good_turing(counts, table)
     oracle = nbest_oracle(forest, model, len(derivs))
     for n in (1, 2, 3, 5, 10):
-        assert [(a.signature, a.log_prob) for a in rank_nbest(forest, model, n)] == [
+        assert [(flat_signature(a.signature), a.log_prob)
+                for a in rank_nbest(forest, model, n)] == [
             (sig, score) for score, sig, _ in oracle[:n]]
 
 
@@ -368,7 +372,7 @@ def test_rank_ties_follow_signature_order():
         sigs = sorted(derivation_signature(forest, d) for d in enumerate_derivations(forest))
         for n in (1, 2, 3, 5, 10):
             ranked = rank_nbest(forest, certain, n)
-            assert [a.signature for a in ranked] == sigs[:n], (length, n)
+            assert [flat_signature(a.signature) for a in ranked] == sigs[:n], (length, n)
             assert [a.log_prob for a in ranked] == [0.0] * min(n, len(sigs))
 
 
@@ -383,8 +387,36 @@ def test_deep_tie_ranks_without_recursion():
     model = smooth_good_turing(train_counts([], table.table_hash()), table)
     first, second = rank_nbest(forest, model, 2)
     assert first.log_prob == second.log_prob
-    assert [first.signature, second.signature] == sorted(
+    assert [flat_signature(first.signature), flat_signature(second.signature)] == sorted(
         derivation_signature(forest, d) for d in enumerate_derivations(forest))
+
+
+def test_deep_tied_bundles_rank_without_recursion():
+    """On a^2100 b, S's 20 bundles all use S -> L R and split the sentence
+    as L over a^(2100-j) and R over a^j b, j < 20: under probability 1.0 they
+    tie exactly, and their signatures first differ at the bottom of L's
+    chain, deeper than a comparison may recurse.  So the seeding pass's
+    tie-break, S's candidate heap and the final sort all fall back to flat
+    preorders, and with more root entries than the 2n+16 window pulls, the
+    heap's order decides which are pulled: the ranking is still the
+    enumeration's signature order."""
+    grammar = "%start S\nS -> L R ;\nL -> L 'a' ;\nL -> 'a' ;\n" + "".join(
+        "R -> %s'b' ;\n" % ("'a' " * j) for j in range(20))
+    backbone, residues = compile_grammar(parse_grammar_file(grammar))
+    table = build_lalr(backbone)
+    forest = parse(table, residues, ["a"] * 2100 + ["b"]).forest
+    certain = ProbModel(
+        {(s, l, a): 1.0 for (s, l), actions in table.actions.items() for a in actions},
+        {}, table.table_hash(),
+    )
+    sigs = sorted(derivation_signature(forest, d) for d in enumerate_derivations(forest))
+    assert len(sigs) == 20
+    for n in (1, 2):
+        ranked = rank_nbest(forest, certain, n)
+        assert [flat_signature(a.signature) for a in ranked] == sigs[:n]
+        assert [a.log_prob for a in ranked] == [0.0] * n
+    with pytest.raises(RecursionError):
+        ranked[0].signature < ranked[1].signature
 
 
 def test_scaling_invariance_of_argmax():
@@ -567,7 +599,8 @@ def test_rank_rows_pinned_on_ties(kind):
             for tags in (False, True):
                 for a in rank_nbest(forest, model, n, include_tag_likelihoods=tags):
                     digest.update(b"%d\t%d\t%d\t%r\t%r\n"
-                                  % (length, n, a.rank, a.log_prob, a.signature))
+                                  % (length, n, a.rank, a.log_prob,
+                                     flat_signature(a.signature)))
     assert digest.hexdigest() == RANK_ROW_PINS[kind]
 
 
@@ -613,7 +646,50 @@ def test_deep_chain_ranks_and_extracts_without_recursion():
     assert depth == 2000
 
 
-# ---------------------------------------------------------------------------
+def _subtrees_by_subderivation(analysis):
+    """id of every subderivation below an analysis's root -> its subtree in
+    analysis.tree, for a grammar without Kleene iterations, whose trees
+    mirror their derivations node for node."""
+    out = {}
+    todo = [(analysis.derivation[2][0], analysis.tree)]
+    while todo:
+        d, tree = todo.pop()
+        out[id(d)] = tree
+        todo.extend(zip(d[2], tree.children))
+    return out
+
+
+def test_ranked_trees_equal_fresh_walks_and_share_subtrees():
+    """rank_nbest builds one sentence's trees through one memo on the
+    subderivation objects its k-best entries share.  Every tree equals an
+    unmemoised derivation_to_tree walk, on tagseq, whose PP* iterations are
+    spliced away, and on catalan; and where two analyses share a
+    subderivation, they hold the same Tree object for it."""
+    spliced = shared = 0
+    for grammar in ("tagseq.gr", "catalan.gr"):
+        artifacts = compile_fixture(grammar)
+        _, _, residues, table = artifacts
+        _, model, _ = train_model_from_treebanks(
+            artifacts, [FIXTURES / PIN_TREEBANKS[grammar]], [1.0])
+        for lattice in _pin_cases(grammar):
+            outcome = parse_lattice(lattice, table, residues)
+            if not outcome.ok:
+                continue
+            forest = outcome.forest
+            ranked = rank_nbest(forest, model, 10)
+            for a in ranked:
+                assert a.tree == derivation_to_tree(forest, a.derivation)
+                spliced += any(
+                    glr.is_iteration_symbol(getattr(forest.nodes[d[0]], "symbol", ""))
+                    for _, d in glr.walk_derivation(a.derivation))
+            if grammar == "catalan.gr":
+                subtrees = [_subtrees_by_subderivation(a) for a in ranked]
+                for first, second in itertools.combinations(subtrees, 2):
+                    for i in first.keys() & second.keys():
+                        assert first[i] is second[i]
+                        shared += 1
+    assert spliced and shared
+
 # training from exact occurrence counts, checked against the enumeration
 
 def enumerated_counts(artifacts, weighted_trees, max_histories):
