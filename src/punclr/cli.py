@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .glr import (
-    ROOT_KEY,
     constrained_parse,
     count_parses,
     derivation_to_tree,
@@ -208,7 +207,7 @@ def train_from_trees(artifacts, weighted_trees, max_histories=MAX_HISTORIES):
                 unparseable += 1
             continue
         inside = inside_counts(outcome.forest)
-        m = inside[ROOT_KEY]
+        m = inside[outcome.forest.root]
         if m > max_histories:
             capped += 1
             continue
@@ -304,6 +303,8 @@ def cmd_rank(args):
     lattices = read_lattices(args.input, args.plain, args.certainty, args.ratio)
     failures = 0
     for i, lat in enumerate(lattices):
+        # the last sentence's analyses hold its forest: let it go first
+        outcome = ranked = analysis = None
         outcome = parse_lattice(lat, table, residues, budget=args.timeout)
         status = outcome.status
         if outcome.ok:
@@ -363,7 +364,7 @@ def select_analysis(forest, model, rng=None, budget=None):
     # randrange(m) makes the same draw as choice() over the m enumerated
     # derivations, so the pick is the enumeration's
     index = rng.randrange(count_parses(forest))
-    return derivation_to_tree(forest, nth_derivation(forest, index))
+    return derivation_to_tree(nth_derivation(forest, index))
 
 
 def evaluate_against_gold(artifacts, gold_trees, model=None, rng=None, timeout=None):

@@ -13,17 +13,24 @@ closure once per pending label: reductions triggered under one hypothesis
 must not feed stack branches that continue with a different one.
 
 Each GSS edge carries the forest node of the symbol it spans; reductions read
-child residues and keys off the popped edges.  Nothing is deduplicated, as
-nothing repeats: a forest key fixes the stack node beneath, the goto and the
+child residues and nodes off the popped edges.  Nothing is deduplicated, as
+nothing repeats: a forest node fixes the stack node beneath, the goto and the
 closure, so only a new forest node brings a new edge; a stack node's reduces
 are queued once bare and once per edge; and a path, popped once, differs from
 every other path into its forest node in some child.
 
+The forest is held by reference: a bundle holds its child nodes, and every
+forest pass keys its tables on node objects, which hash by identity, where a
+key tuple would be rehashed on every lookup.  Keys are for what leaves a
+parse: ParseForest.nodes maps them to the nodes, export_forest prints them,
+and their order (repr) sorts the dump.  No pass compares two nodes or
+iterates a set of them, so every order that reaches output comes from
+insertion-ordered dicts and lists, never from addresses.
+
 Records are NamedTuples or plain slotted classes, not dataclasses: importing
 dataclasses and decorating the classes cost each process tens of
 milliseconds, and a frozen dataclass's __init__ sets each field through
-object.__setattr__.  Bundle, ForestNode and ForestLeaf are slotted classes,
-not tuples, because _children_first tells a node from a key tuple by its type.
+object.__setattr__.
 """
 from __future__ import annotations
 
@@ -81,17 +88,24 @@ def lattice_from_labels(labels) -> SentenceLattice:
     )
 
 
+# ForestNode.walk and ForestLeaf.walk: how far _children_first has got
+_UNSEEN, _ENTERED, _PLACED = 0, 1, 2
+# the reduce loop reads the CPU clock on its first task and every
+# CLOCK_EVERY tasks after, not on every task
+CLOCK_EVERY = 64
+
+
 class Bundle:
     __slots__ = ("production", "children", "transition")
 
     def __init__(self, production: int, children: tuple, transition: tuple):
         self.production = production  # -1 for the virtual root (accept) bundle
-        self.children = children  # forest node keys, left to right
+        self.children = children  # ForestNode or ForestLeaf objects, left to right
         self.transition = transition  # (state, lookahead, Action)
 
 
 class ForestLeaf:
-    __slots__ = ("key", "label", "word", "position", "likelihood", "transition")
+    __slots__ = ("key", "label", "word", "position", "likelihood", "transition", "walk")
     residue = ()  # not a slot: a leaf carries no features
 
     def __init__(self, key: tuple, label: str, word: str, position: int,
@@ -102,6 +116,7 @@ class ForestLeaf:
         self.position = position
         self.likelihood = likelihood
         self.transition = transition
+        self.walk = _UNSEEN
 
     @property
     def start(self):
@@ -113,7 +128,7 @@ class ForestLeaf:
 
 
 class ForestNode:
-    __slots__ = ("key", "symbol", "start", "end", "residue", "bundles")
+    __slots__ = ("key", "symbol", "start", "end", "residue", "bundles", "walk")
 
     def __init__(self, key: tuple, symbol: str, start: int, end: int, residue: tuple,
                  bundles: list):
@@ -123,19 +138,20 @@ class ForestNode:
         self.end = end
         self.residue = residue
         self.bundles = bundles
+        self.walk = _UNSEEN
 
 
 ROOT_KEY = ("root",)
-_key = attrgetter("key")
 _residue = attrgetter("residue")
 
 
 class ParseForest(NamedTuple):
     """A packed forest of root-spanning analyses.
 
-    nodes holds only nodes reachable from the root, in children-first order:
-    every node comes after all of its bundles' children and the root comes
-    last, so a forest pass is one loop over nodes.values().
+    nodes maps the key of each node reachable from the root to the node, in
+    children-first order: every node comes after all of its bundles'
+    children and the root comes last, so a forest pass is one loop over
+    nodes.values(), keyed on the nodes themselves.
     """
 
     nodes: dict
@@ -215,7 +231,6 @@ def parse_lattice(
     # unification fails; only for variable-free residues, whose outcome
     # depends on nothing else
     residue_memo: dict = {}
-    forest_nodes: dict = {}
     root_bundles: list = []
     start_symbol = None
     for p in productions:
@@ -231,9 +246,13 @@ def parse_lattice(
     def fail(reason):
         return ParseOutcome("fail", None, reason, time.process_time() - t0, n)
 
+    def timeout():
+        return ParseOutcome("timeout", None, "budget exhausted", time.process_time() - t0, n)
+
+    clock = 1  # tasks left until the next clock read
     for j in range(n + 1):
         if out_of_budget():
-            return ParseOutcome("timeout", None, "budget exhausted", time.process_time() - t0, n)
+            return timeout()
         if j < n:
             label_items = lattice.tokens[j].labels
             word = lattice.tokens[j].word
@@ -242,8 +261,16 @@ def parse_lattice(
             word = ""
         crossed = last_open[j]
         next_frontier: dict = {}
+        by_label: dict = {}
         for label, likelihood in label_items:
             local: dict = {}
+            # nodes: the forest nodes ending at j under this label, keyed by
+            # (GSS node beneath, lhs, signature); leaves: its leaves, keyed
+            # by the state shifted from.  j and label are fixed, and the node
+            # beneath fixes start, serial and state, so these keys pick a node
+            # as its full key does.  A label listed twice shares them, as it
+            # shares full keys.
+            nodes, leaves = by_label.setdefault(label, ({}, {}))
             tasks = deque()
 
             def enqueue(node, edge):
@@ -259,10 +286,11 @@ def parse_lattice(
                     enqueue(node, edge)
 
             while tasks:
-                if out_of_budget():
-                    return ParseOutcome(
-                        "timeout", None, "budget exhausted", time.process_time() - t0, n
-                    )
+                clock -= 1
+                if not clock:
+                    clock = CLOCK_EVERY
+                    if out_of_budget():
+                        return timeout()
                 node, action, arity, first_edge = tasks.popleft()
                 prod = productions[action.arg]
                 lhs = prod.lhs
@@ -290,15 +318,16 @@ def parse_lattice(
                         mother, sig = reduced
                     else:
                         mother = sig = ()
-                    # keyed by the GSS node beneath (serial), not merely its
-                    # state: same-state nodes from different label closures
-                    # have different continuations and must not be conflated
-                    fkey = ("n", lhs, span_start, j, bottom.serial, bottom.state, sig, label)
-                    fnode = forest_nodes.get(fkey)
+                    nkey = (bottom, lhs, sig)
+                    fnode = nodes.get(nkey)
                     if fnode is None:
-                        # only a new forest node brings a new edge (see the
-                        # module docstring)
-                        fnode = forest_nodes[fkey] = ForestNode(fkey, lhs, span_start, j, mother, [])
+                        # keyed by the GSS node beneath (serial), not merely
+                        # its state: same-state nodes from different label
+                        # closures have different continuations and must not
+                        # be conflated.  Only a new forest node brings a new
+                        # edge (see the module docstring)
+                        fkey = ("n", lhs, span_start, j, bottom.serial, bottom.state, sig, label)
+                        fnode = nodes[nkey] = ForestNode(fkey, lhs, span_start, j, mother, [])
                         edge = (bottom, fnode)
                         target = local.get(goto)
                         if target is None:
@@ -308,18 +337,15 @@ def parse_lattice(
                         else:
                             target.edges.append(edge)
                         enqueue(target, edge)
-                    fnode.bundles.append(
-                        Bundle(prod.index, tuple(map(_key, kids)), transition)
-                    )
+                    fnode.bundles.append(Bundle(prod.index, kids, transition))
 
             if j < n:
                 for node in list(frontier.values()) + list(local.values()):
                     for action in rows.get((node.state, label), EMPTY_ROW)[1]:
-                        leaf_key = ("t", j, label, node.state)
-                        leaf = forest_nodes.get(leaf_key)
+                        leaf = leaves.get(node.state)
                         if leaf is None:
-                            leaf = forest_nodes[leaf_key] = ForestLeaf(
-                                leaf_key, label, word, j, likelihood,
+                            leaf = leaves[node.state] = ForestLeaf(
+                                ("t", j, label, node.state), label, word, j, likelihood,
                                 (node.state, label, action),
                             )
                         target = next_frontier.get(action.arg)
@@ -335,7 +361,7 @@ def parse_lattice(
                     for target, child in node.edges:
                         if target is initial and child.key[1] == start_symbol:
                             root_bundles.append(
-                                Bundle(-1, (child.key,), (node.state, END_MARKER, action))
+                                Bundle(-1, (child,), (node.state, END_MARKER, action))
                             )
         if j < n and not next_frontier:
             return fail("no shift possible at token %d" % j)
@@ -345,10 +371,8 @@ def parse_lattice(
     if not root_bundles:
         return fail("no analysis spans the sentence")
 
-    forest_nodes[ROOT_KEY] = ForestNode(ROOT_KEY, "$root", 0, n, (), root_bundles)
-    forest = ParseForest(
-        _children_first(forest_nodes), n, start_symbol, table.table_hash()
-    )
+    root = ForestNode(ROOT_KEY, "$root", 0, n, (), root_bundles)
+    forest = ParseForest(_children_first(root), n, start_symbol, table.table_hash())
     return ParseOutcome("ok", forest, "", time.process_time() - t0, n)
 
 
@@ -382,23 +406,25 @@ def _pop_paths(node, arity, first_edge):
     return paths
 
 
-def _children_first(forest_nodes):
-    """The nodes reachable from the root, in post-order: depth first, with
-    a stack of keys still to visit where each node, once entered, waits
-    beneath its unplaced children until they are placed."""
+def _children_first(root):
+    """Key -> node for the nodes reachable from root, in post-order: depth
+    first, on a stack where each node, once entered, waits beneath its
+    unplaced children until they are placed.  Each node's walk slot records
+    whether it is entered or placed, so a node met again is skipped by its
+    slot, not looked up by key."""
     order = {}
-    stack = [ROOT_KEY]
+    stack = [root]
     while stack:
-        item = stack.pop()
-        if type(item) is not tuple:
-            order[item.key] = item
-        elif item not in order:
-            node = forest_nodes[item]
-            if isinstance(node, ForestLeaf):
-                order[item] = node
-                continue
-            stack.append(node)
-            pending = [c for b in node.bundles for c in b.children if c not in order]
+        node = stack[-1]
+        if node.walk == _PLACED:
+            stack.pop()
+        elif node.walk == _ENTERED or type(node) is ForestLeaf:
+            stack.pop()
+            node.walk = _PLACED
+            order[node.key] = node
+        else:
+            node.walk = _ENTERED
+            pending = [c for b in node.bundles for c in b.children if c.walk != _PLACED]
             pending.reverse()
             stack.extend(pending)
     return order
@@ -421,47 +447,48 @@ def constrained_parse(
 
 def count_parses(forest: ParseForest) -> int:
     """Exact derivation count of the whole forest."""
-    return inside_counts(forest)[ROOT_KEY]
+    return inside_counts(forest)[forest.root]
 
 
 def inside_counts(forest: ParseForest) -> dict:
-    """Each node's exact derivation count: an inside sum-product over
-    bundles, in exact integers, one loop over the children-first node order."""
+    """Each node's exact derivation count, keyed by the node: an inside
+    sum-product over bundles, in exact integers, one loop over the
+    children-first node order."""
     counts: dict = {}
-    for key, node in forest.nodes.items():
-        if isinstance(node, ForestLeaf):
-            counts[key] = 1
+    for node in forest.nodes.values():
+        if type(node) is ForestLeaf:
+            counts[node] = 1
             continue
         total = 0
         for b in node.bundles:
             product = 1
-            for child_key in b.children:
-                product *= counts[child_key]
+            for child in b.children:
+                product *= counts[child]
             total += product
-        counts[key] = total
+        counts[node] = total
     return counts
 
 
 def enumerate_derivations(forest: ParseForest):
-    """All derivations as nested (key, bundle index, children) tuples, per
+    """All derivations as nested (node, bundle index, children) tuples, per
     node bundle by bundle and, within a bundle, in the product order of the
-    children's lists.
+    children's lists.  A leaf's derivation is (leaf, None, ()).
 
     Exponential in general; meant for small sentences and tests.
     """
     memo: dict = {}
-    for key, node in forest.nodes.items():
-        if isinstance(node, ForestLeaf):
-            memo[key] = [(key, None, ())]
+    for node in forest.nodes.values():
+        if type(node) is ForestLeaf:
+            memo[node] = [(node, None, ())]
             continue
         derivs = []
         for bi, b in enumerate(node.bundles):
             combos = [()]
-            for child_key in b.children:
-                combos = [acc + (d,) for acc in combos for d in memo[child_key]]
-            derivs.extend((key, bi, combo) for combo in combos)
-        memo[key] = derivs
-    return memo[ROOT_KEY]
+            for child in b.children:
+                combos = [acc + (d,) for acc in combos for d in memo[child]]
+            derivs.extend((node, bi, combo) for combo in combos)
+        memo[node] = derivs
+    return memo[forest.root]
 
 
 def nth_derivation(forest: ParseForest, index: int):
@@ -474,18 +501,18 @@ def nth_derivation(forest: ParseForest, index: int):
     per child.
     """
     inside = inside_counts(forest)
-    if not 0 <= index < inside[ROOT_KEY]:
-        raise IndexError("derivation %d of %d" % (index, inside[ROOT_KEY]))
+    root = forest.root
+    if not 0 <= index < inside[root]:
+        raise IndexError("derivation %d of %d" % (index, inside[root]))
     built = [[]]  # per open node, the derivations of its finished children
-    stack = [(True, ROOT_KEY, index)]  # (entering, key, index or bundle)
+    stack = [(True, root, index)]  # (entering, node, index or bundle)
     while stack:
-        entering, key, i = stack.pop()
-        node = forest.nodes[key]
+        entering, node, i = stack.pop()
         if not entering:
             children = tuple(built.pop())
-            built[-1].append((key, i, children))
-        elif isinstance(node, ForestLeaf):
-            built[-1].append((key, None, ()))
+            built[-1].append((node, i, children))
+        elif type(node) is ForestLeaf:
+            built[-1].append((node, None, ()))
         else:
             for bi, b in enumerate(node.bundles):
                 size = prod(inside[c] for c in b.children)
@@ -493,7 +520,7 @@ def nth_derivation(forest: ParseForest, index: int):
                     break
                 i -= size
             built.append([])
-            stack.append((False, key, bi))
+            stack.append((False, node, bi))
             for c in reversed(b.children):
                 i, rest = divmod(i, inside[c])
                 stack.append((True, c, rest))
@@ -514,30 +541,28 @@ def walk_derivation(deriv):
                 stack.append((True, child))
 
 
-def derivation_transitions(forest: ParseForest, deriv):
+def derivation_transitions(deriv):
     """The LR run of one derivation: post-order over the tree gives the
     exact (state, lookahead, action) sequence the parser traversed.  Serves
     extract_histories and the tests; rank_nbest sums its cached scores in
     the same order."""
     out = []
-    for entering, (key, bi, _) in walk_derivation(deriv):
+    for entering, (node, bi, _) in walk_derivation(deriv):
         if not entering:
-            node = forest.nodes[key]
-            if isinstance(node, ForestLeaf):
+            if bi is None:
                 out.append(node.transition)
             else:
                 out.append(node.bundles[bi].transition)
     return out
 
 
-def derivation_signature(forest: ParseForest, deriv):
+def derivation_signature(deriv):
     """Preorder sequence of production ids and leaf labels; unique per
     derivation and totally ordered, used for deterministic tie-breaking."""
     out = []
-    for entering, (key, bi, _) in walk_derivation(deriv):
+    for entering, (node, bi, _) in walk_derivation(deriv):
         if entering:
-            node = forest.nodes[key]
-            if isinstance(node, ForestLeaf):
+            if bi is None:
                 out.append(("t", node.label))
             else:
                 out.append(("p", node.bundles[bi].production))
@@ -561,7 +586,7 @@ def is_iteration_symbol(symbol: str) -> bool:
     return "*" in symbol
 
 
-def derivation_to_tree(forest: ParseForest, deriv, memo: Optional[dict] = None) -> Tree:
+def derivation_to_tree(deriv, memo: Optional[dict] = None) -> Tree:
     """Labelled tree for one derivation; Kleene iteration auxiliaries are
     spliced away so a starred daughter shows up as a flat sibling list.
 
@@ -587,11 +612,10 @@ def derivation_to_tree(forest: ParseForest, deriv, memo: Optional[dict] = None) 
                 kids.extend(sub.children)
             else:
                 kids.append(sub)
-        key = d[0]
-        node = forest.nodes[key]
-        if isinstance(node, ForestLeaf):
+        node = d[0]
+        if d[1] is None:
             tree = Tree(node.label, (), node.start, node.end, node.word)
-        elif key == ROOT_KEY:
+        elif node.key == ROOT_KEY:
             tree = kids[0]
         else:
             tree = Tree(node.symbol, tuple(kids), node.start, node.end)
@@ -615,7 +639,7 @@ def export_forest(forest: ParseForest) -> str:
             for b in node.bundles:
                 parts.append(
                     "[p%d %s trans=%s]"
-                    % (b.production, " ".join(repr(c) for c in b.children),
+                    % (b.production, " ".join(repr(c.key) for c in b.children),
                        _trans_str(b.transition))
                 )
             lines.append(

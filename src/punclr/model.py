@@ -20,9 +20,9 @@ from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 from .glr import (
+    CLOCK_EVERY,
     ForestLeaf,
     ParseForest,
-    ROOT_KEY,
     derivation_to_tree,
     derivation_transitions,
     enumerate_derivations,
@@ -240,36 +240,51 @@ class RankedAnalysis(NamedTuple):
     log_prob: float
     rank: int
     signature: tuple  # nested: (("p", production), child's, ...) or (("t", label),)
-    derivation: tuple
+    derivation: tuple  # nested (node, bundle index, children), as glr builds them
 
 
 class RankTimeout(Exception):
     """rank_nbest used up its CPU budget."""
 
 
-class _Signature(tuple):
-    """A derivation signature as a 1-tuple holding its nested form,
-    (("p", production), child's nested form, ...) or (("t", label),), for
-    the comparisons that cannot catch a RecursionError themselves (heap
-    pushes and sorts).  A nested form is O(arity) to build, where the flat
-    preorder costs O(subtree).  A preorder whose productions fix their arity
-    is prefix-free, so nested forms compare as the flat ones do; past the
-    depth a comparison may recurse to, the flat preorders are compared
-    instead."""
+class _Signature:
+    """A derivation signature's nested form, (("p", production), child's
+    nested form, ...) or (("t", label),), for the comparisons that cannot
+    catch a RecursionError themselves (heap pushes and sorts).  A nested
+    form is O(arity) to build, where the flat preorder costs O(subtree).  A
+    preorder whose productions fix their arity is prefix-free, so nested
+    forms compare as the flat ones do.  Past the depth a comparison may
+    recurse to, the flat preorders are compared instead.  A holder computes
+    its flat form at most once and keeps it, and a comparison with a holder
+    that has one goes to the flat forms straight away, rather than recursing
+    to the limit again."""
 
-    __slots__ = ()
+    __slots__ = ("nested", "_flat")
+
+    def __init__(self, nested):
+        self.nested = nested
+        self._flat = None
+
+    def flat(self) -> tuple:
+        if self._flat is None:
+            self._flat = _preorder(self.nested)
+        return self._flat
 
     def __eq__(self, other):
-        try:
-            return self[0] == other[0]
-        except RecursionError:
-            return _preorder(self[0]) == _preorder(other[0])
+        if self._flat is None and other._flat is None:
+            try:
+                return self.nested == other.nested
+            except RecursionError:
+                pass
+        return self.flat() == other.flat()
 
     def __lt__(self, other):
-        try:
-            return self[0] < other[0]
-        except RecursionError:
-            return _preorder(self[0]) < _preorder(other[0])
+        if self._flat is None and other._flat is None:
+            try:
+                return self.nested < other.nested
+            except RecursionError:
+                pass
+        return self.flat() < other.flat()
 
 
 def _preorder(nested) -> tuple:
@@ -334,48 +349,48 @@ def rank_nbest(
     # bundle index, child ranks, derivation); from the first time a second
     # entry is wanted, also the candidate heap of the same tuples with the
     # score negated and the signature a _Signature, and the (bundle, ranks)
-    # pairs ever pushed
+    # pairs ever pushed.  All are keyed on the node objects.
     lists: dict = {}
     heaps: dict = {}
     pushed: dict = {}
     exhausted: set = set()  # nodes with no further entries
     own_scores: dict = {}  # leaf -> log probability, node -> one per bundle
 
-    def push(key, bi, ranks):
+    def push(node, bi, ranks):
         """Push the entry of bundle bi over the children's entries at ranks,
         unless pushed before or a child has no entry at its rank."""
-        if (bi, ranks) in pushed[key]:
+        if (bi, ranks) in pushed[node]:
             return
-        pushed[key].add((bi, ranks))
-        b = forest.nodes[key].bundles[bi]
-        score = own_scores[key][bi]
+        pushed[node].add((bi, ranks))
+        b = node.bundles[bi]
+        score = own_scores[node][bi]
         sig = [("p", b.production)]
         children = []
-        for ck, r in zip(b.children, ranks):
-            if r >= len(lists[ck]):
+        for child, r in zip(b.children, ranks):
+            if r >= len(lists[child]):
                 return
-            cs, csig, _, _, cd = lists[ck][r]
+            cs, csig, _, _, cd = lists[child][r]
             score += cs
             sig.append(csig)
             children.append(cd)
-        heapq.heappush(heaps[key], (-score, _Signature((tuple(sig),)), bi, ranks,
-                                    (key, bi, tuple(children))))
+        heapq.heappush(heaps[node], (-score, _Signature(tuple(sig)), bi, ranks,
+                                     (node, bi, tuple(children))))
 
-    def pop(key):
-        if heaps[key]:
-            negscore, sig, bi, ranks, deriv = heapq.heappop(heaps[key])
-            lists[key].append((-negscore, sig[0], bi, ranks, deriv))
+    def pop(node):
+        if heaps[node]:
+            negscore, sig, bi, ranks, deriv = heapq.heappop(heaps[node])
+            lists[node].append((-negscore, sig.nested, bi, ranks, deriv))
         else:
-            exhausted.add(key)
+            exhausted.add(node)
 
-    def start_heap(key):
-        """key's candidate heap as it stands once its best entry is taken:
+    def start_heap(node):
+        """node's candidate heap as it stands once its best entry is taken:
         the first candidate of every other bundle."""
-        _, _, best_bi, best_ranks, _ = lists[key][0]
-        heaps[key] = []
-        pushed[key] = {(best_bi, best_ranks)}
-        for bi, b in enumerate(forest.nodes[key].bundles):
-            push(key, bi, (0,) * len(b.children))
+        _, _, best_bi, best_ranks, _ = lists[node][0]
+        heaps[node] = []
+        pushed[node] = {(best_bi, best_ranks)}
+        for bi, b in enumerate(node.bundles):
+            push(node, bi, (0,) * len(b.children))
 
     # every node's best entry, children first: the bundle with the highest
     # score over its children's best entries, the smallest signature among
@@ -383,32 +398,32 @@ def rank_nbest(
     # heap of all first candidates would pop it.  The entry is built from the
     # score and the nested signature compared; signatures compare as plain
     # tuples, in C, and as flat preorders past the depth that may recurse to
-    for key, node in forest.nodes.items():
-        if isinstance(node, ForestLeaf):
-            score = own_scores[key] = log_prob(node.transition)
+    for node in forest.nodes.values():
+        if type(node) is ForestLeaf:
+            score = own_scores[node] = log_prob(node.transition)
             if include_tag_likelihoods:
                 score += math.log(node.likelihood)
-            lists[key] = [(score, (("t", node.label),), None, (), (key, None, ()))]
-            exhausted.add(key)
+            lists[node] = [(score, (("t", node.label),), None, (), (node, None, ()))]
+            exhausted.add(node)
             continue
         bundles = node.bundles
-        own = own_scores[key] = [log_prob(b.transition) for b in bundles]
+        own = own_scores[node] = [log_prob(b.transition) for b in bundles]
         scores = []
         for b, score in zip(bundles, own):
-            for ck in b.children:
-                score += lists[ck][0][0]
+            for child in b.children:
+                score += lists[child][0][0]
             scores.append(score)
         best = max(scores)
         tied = [((("p", bundles[i].production),
-                  *[lists[ck][0][1] for ck in bundles[i].children]), i)
+                  *[lists[child][0][1] for child in bundles[i].children]), i)
                 for i, score in enumerate(scores) if score == best]
         try:
             sig, bi = min(tied)
         except RecursionError:
             sig, bi = min(tied, key=lambda e: _preorder(e[0]))
         children = bundles[bi].children
-        lists[key] = [(best, sig, bi, (0,) * len(children),
-                       (key, bi, tuple([lists[ck][0][4] for ck in children])))]
+        lists[node] = [(best, sig, bi, (0,) * len(children),
+                        (node, bi, tuple([lists[child][0][4] for child in children])))]
 
     # K: a derivation has at most one transition per node and one tag
     # likelihood per leaf; 8 spare terms raise the threshold by about
@@ -416,34 +431,39 @@ def rank_nbest(
     k = 2 * len(forest.nodes) + 8
     gamma = k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
     shrink = (1 - gamma) / (1 + gamma)
-    root = lists[ROOT_KEY]
+    root_node = forest.root
+    root = lists[root_node]
     rescored = []
     top_n = []  # min-heap of the n highest canonical scores so far
+    clock = 1  # steps left until the next clock read
     for wanted in range(2 * n + 16):
         # root entry `wanted` by Huang & Chiang's lazy next on an explicit
         # stack of (node, rank wanted): a node's next entry is popped right
         # after the successors of its last entry are pushed, and each
         # successor may first need one more entry of a child
-        stack = [(ROOT_KEY, wanted)]
+        stack = [(root_node, wanted)]
         while stack:
-            if budget is not None and time.process_time() - t0 > budget:
-                raise RankTimeout("budget exhausted")
-            key, rank = stack[-1]
-            if rank < len(lists[key]) or key in exhausted:
+            clock -= 1
+            if not clock:
+                clock = CLOCK_EVERY
+                if budget is not None and time.process_time() - t0 > budget:
+                    raise RankTimeout("budget exhausted")
+            node, rank = stack[-1]
+            if rank < len(lists[node]) or node in exhausted:
                 stack.pop()
                 continue
-            _, _, bi, ranks, _ = lists[key][-1]
-            children = forest.nodes[key].bundles[bi].children
-            for ck, r in zip(children, ranks):
-                if r + 1 >= len(lists[ck]) and ck not in exhausted:
-                    stack.append((ck, r + 1))
+            _, _, bi, ranks, _ = lists[node][-1]
+            children = node.bundles[bi].children
+            for child, r in zip(children, ranks):
+                if r + 1 >= len(lists[child]) and child not in exhausted:
+                    stack.append((child, r + 1))
                     break
             else:
-                if key not in heaps:
-                    start_heap(key)
+                if node not in heaps:
+                    start_heap(node)
                 for ci in range(len(ranks)):
-                    push(key, bi, ranks[:ci] + (ranks[ci] + 1,) + ranks[ci + 1:])
-                pop(key)
+                    push(node, bi, ranks[:ci] + (ranks[ci] + 1,) + ranks[ci + 1:])
+                pop(node)
         if wanted == len(root):
             break
         score, sig, _, _, deriv = root[wanted]
@@ -455,34 +475,33 @@ def rank_nbest(
         logs = []
         todo = [deriv]
         while todo:
-            key, bi, children = todo.pop()
-            logs.append(own_scores[key] if bi is None else own_scores[key][bi])
+            node, bi, children = todo.pop()
+            logs.append(own_scores[node] if bi is None else own_scores[node][bi])
             todo.extend(children)
         logs.reverse()
         canonical = sum(logs)
         if include_tag_likelihoods:
-            canonical += _leaf_likelihood_sum(forest, deriv)
-        rescored.append((canonical, sig, deriv))
+            canonical += _leaf_likelihood_sum(deriv)
+        rescored.append((canonical, _Signature(sig), deriv))
         if len(top_n) < n:
             heapq.heappush(top_n, canonical)
         else:
             heapq.heappushpop(top_n, canonical)
-    rescored.sort(key=lambda e: (-e[0], _Signature((e[1],))))
+    rescored.sort(key=lambda e: (-e[0], e[1]))
 
     trees: dict = {}  # shared by the analyses, whose derivations share subderivations
     return [
-        RankedAnalysis(derivation_to_tree(forest, deriv, trees), score, rank, sig, deriv)
+        RankedAnalysis(derivation_to_tree(deriv, trees), score, rank, sig.nested, deriv)
         for rank, (score, sig, deriv) in enumerate(rescored[:n], 1)
     ]
 
 
-def _leaf_likelihood_sum(forest, deriv) -> float:
+def _leaf_likelihood_sum(deriv) -> float:
     """Sum of the log tag likelihoods on a derivation's leaves, each
     subtree's sum added to its parent's."""
     sums = [0]
-    for entering, (key, _, _) in walk_derivation(deriv):
-        node = forest.nodes[key]
-        if isinstance(node, ForestLeaf):
+    for entering, (node, bi, _) in walk_derivation(deriv):
+        if bi is None:
             if not entering:
                 sums[-1] += math.log(node.likelihood)
         elif entering:
@@ -498,7 +517,7 @@ def extract_histories(forest: ParseForest):
     the per-history weight 1/m: the enumeration that transition_occurrences
     is tested against."""
     derivs = enumerate_derivations(forest)
-    histories = [derivation_transitions(forest, d) for d in derivs]
+    histories = [derivation_transitions(d) for d in derivs]
     m = len(histories)
     weights = [1.0 / m] * m if m else []
     return histories, weights
@@ -521,43 +540,43 @@ def transition_occurrences(forest: ParseForest, inside: dict) -> dict:
     bundle_ids: dict = {}
     first: dict = {}
     seen: dict = {}
-    for key, node in forest.nodes.items():
-        if isinstance(node, ForestLeaf):
-            first[key] = seen[key] = (index.setdefault(node.transition, len(index)),)
+    for node in forest.nodes.values():
+        if type(node) is ForestLeaf:
+            first[node] = seen[node] = (index.setdefault(node.transition, len(index)),)
             continue
         ids = [index.setdefault(b.transition, len(index)) for b in node.bundles]
-        bundle_ids[key] = ids
+        bundle_ids[node] = ids
         leading = node.bundles[0].children
-        first[key] = tuple(dict.fromkeys(
+        first[node] = tuple(dict.fromkeys(
             chain(chain.from_iterable(first[c] for c in leading), (ids[0],))
         ))
-        if inside[key] == 1:  # one derivation: seen is first
-            seen[key] = first[key]
+        if inside[node] == 1:  # one derivation: seen is first
+            seen[node] = first[node]
             continue
         order = []
         for b, t in zip(node.bundles, ids):
             order.extend(chain.from_iterable(first[c] for c in b.children))
             order.append(t)
             order.extend(chain.from_iterable(seen[c] for c in reversed(b.children)))
-        seen[key] = tuple(dict.fromkeys(order))
+        seen[node] = tuple(dict.fromkeys(order))
 
     occurrences = [0] * len(index)
-    outside = dict.fromkeys(forest.nodes, 0)
-    outside[ROOT_KEY] = 1
-    for key in reversed(forest.nodes):
-        node = forest.nodes[key]
-        if isinstance(node, ForestLeaf):
-            occurrences[first[key][0]] += outside[key]
+    root = forest.root
+    outside = dict.fromkeys(forest.nodes.values(), 0)
+    outside[root] = 1
+    for node in reversed(forest.nodes.values()):
+        if type(node) is ForestLeaf:
+            occurrences[first[node][0]] += outside[node]
             continue
-        for b, t in zip(node.bundles, bundle_ids[key]):
-            product = outside[key]
+        for b, t in zip(node.bundles, bundle_ids[node]):
+            product = outside[node]
             for c in b.children:
                 product *= inside[c]
             occurrences[t] += product
             for c in b.children:
                 outside[c] += product // inside[c]
     transitions = list(index)
-    return {transitions[i]: occurrences[i] for i in seen[ROOT_KEY]}
+    return {transitions[i]: occurrences[i] for i in seen[root]}
 
 
 # ---------------------------------------------------------------------------

@@ -511,3 +511,34 @@ def flat_signature(nested):
         out.append(node[0])
         todo.extend(node[:0:-1])
     return tuple(out)
+
+
+def children_first(root):
+    """Key -> node for the forest nodes reachable from root, in post-order,
+    by the walk that ran on forest keys: a stack of keys still to visit and
+    a dict of the keys placed, where each node, once entered, waits beneath
+    its unplaced children until they are placed.  Bundles hold child nodes,
+    so the key -> node table fills from them as the walk meets them; a key
+    met on two different node objects fails an assertion."""
+    nodes = {root.key: root}
+    order = {}
+    stack = [root.key]
+    while stack:
+        item = stack.pop()
+        if type(item) is not tuple:
+            order[item.key] = item
+        elif item not in order:
+            node = nodes[item]
+            if not hasattr(node, "bundles"):  # a leaf
+                order[item] = node
+                continue
+            stack.append(node)
+            pending = []
+            for b in node.bundles:
+                for c in b.children:
+                    assert nodes.setdefault(c.key, c) is c, c.key
+                    if c.key not in order:
+                        pending.append(c.key)
+            pending.reverse()
+            stack.extend(pending)
+    return order

@@ -73,8 +73,8 @@ def catalan_model(compiled):
     outcome = parse_lattice(lattice_from_labels(["a"] * 3), table, residues)
     shapes = {}
     for d in enumerate_derivations(outcome.forest):
-        sig = derivation_signature(outcome.forest, d)
-        ts = derivation_transitions(outcome.forest, d)
+        sig = derivation_signature(d)
+        ts = derivation_transitions(d)
         shapes[sig] = ts
     ordered = [shapes[s] for s in sorted(shapes)]
     histories = [ordered[0]] * 3 + [ordered[1]] * 1
@@ -170,8 +170,8 @@ def test_criterion_2_language_oracle(compiled):
 def nbest_oracle_order(forest, model):
     scored = [
         (
-            score_derivation(derivation_transitions(forest, d), model),
-            derivation_signature(forest, d),
+            score_derivation(derivation_transitions(d), model),
+            derivation_signature(d),
         )
         for d in enumerate_derivations(forest)
     ]
@@ -232,7 +232,7 @@ def test_criterion_3_ranking_oracle_below_total(compiled, catalan_model):
         if name == "commatext.gr":
             forest = parse_lattice(lattice_from_labels(labels), comma[3], comma[2]).forest
             first_derivations.append(
-                derivation_transitions(forest, enumerate_derivations(forest)[0]))
+                derivation_transitions(enumerate_derivations(forest)[0]))
     trained = {
         "catalan.gr": catalan_model,
         "tagseq.gr": train_from_trees(compiled["tagseq.gr"], [(t, 1.0) for t in trees])[1],

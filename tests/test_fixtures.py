@@ -64,7 +64,7 @@ def test_tagseq_parses_idiosyncratic_participle(tagseq):
     assert outcome.ok
     assert count_parses(outcome.forest) == 1
     (deriv,) = enumerate_derivations(outcome.forest)
-    tree = derivation_to_tree(outcome.forest, deriv)
+    tree = derivation_to_tree(deriv)
     assert tree.label == "S"
 
 
@@ -100,7 +100,7 @@ def test_tagseq_trees_flatten_iterations(tagseq):
     labels = ["NN2", "VV0", "II", "AT", "NN1", "II", "AT", "NN1"]
     outcome = parse_lattice(lattice_from_labels(labels), table, residues)
     for deriv in enumerate_derivations(outcome.forest):
-        tree = derivation_to_tree(outcome.forest, deriv)
+        tree = derivation_to_tree(deriv)
         assert "*" not in format_tree(tree)
 
 
@@ -132,7 +132,7 @@ def test_comma_derivations_replay(commatext):
     derivs = enumerate_derivations(outcome.forest)
     assert len(derivs) == 8
     for d in derivs:
-        replay(table, derivation_transitions(outcome.forest, d), labels)
+        replay(table, derivation_transitions(d), labels)
 
 
 def test_multi_label_derivations_replay(tagseq):
@@ -153,9 +153,9 @@ def test_multi_label_derivations_replay(tagseq):
         # replay against the label sequence the derivation actually chose
         from punclr.glr import derivation_to_tree
 
-        tree = derivation_to_tree(outcome.forest, d)
+        tree = derivation_to_tree(d)
         leaves = _tree_leaf_labels(tree)
-        replay(table, derivation_transitions(outcome.forest, d), leaves)
+        replay(table, derivation_transitions(d), leaves)
 
 
 def _tree_leaf_labels(tree):

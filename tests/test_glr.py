@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, compile_fixture
 from punclr.grammar import END_MARKER, compile_grammar, parse_grammar_file
@@ -20,7 +21,7 @@ from punclr.glr import (
     parse_lattice,
 )
 from punclr.lattice import read_tagged_file, to_lattice
-from oracles import enumerate_derivations as oracle_derivations
+from oracles import children_first, enumerate_derivations as oracle_derivations
 
 CATALAN = "%start X\nX -> X X ;\nX -> 'a' ;\n"
 
@@ -93,7 +94,7 @@ def test_derivations_replay_against_table():
     derivs = enumerate_derivations(outcome.forest)
     assert len(derivs) == 5
     for deriv in derivs:
-        replay(table, derivation_transitions(outcome.forest, deriv), ["a"] * 4)
+        replay(table, derivation_transitions(deriv), ["a"] * 4)
 
 
 def replay(table, transitions, labels):
@@ -124,14 +125,14 @@ def test_signatures_unique_and_deterministic():
     table, backbone, residues = setup(CATALAN)
     outcome = parse_lattice(lattice_from_labels(["a"] * 5), table, residues)
     derivs = enumerate_derivations(outcome.forest)
-    sigs = [derivation_signature(outcome.forest, d) for d in derivs]
+    sigs = [derivation_signature(d) for d in derivs]
     assert len(set(sigs)) == len(sigs) == 14
 
 
 def test_trees_have_correct_spans():
     table, backbone, residues = setup(CATALAN)
     outcome = parse_lattice(lattice_from_labels(["a"] * 3), table, residues)
-    trees = [derivation_to_tree(outcome.forest, d)
+    trees = [derivation_to_tree(d)
              for d in enumerate_derivations(outcome.forest)]
     all_spans = {frozenset(collect_spans(t)) for t in trees}
     # left-branching and right-branching
@@ -226,7 +227,7 @@ def test_constrained_parse_left_branching_only():
     assert outcome.ok
     assert count_parses(outcome.forest) == 1
     (deriv,) = enumerate_derivations(outcome.forest)
-    tree = derivation_to_tree(outcome.forest, deriv)
+    tree = derivation_to_tree(deriv)
     assert (0, 2) in collect_spans(tree)
 
 
@@ -261,11 +262,11 @@ def test_constrained_equals_filtered_enumeration():
 
     full_sigs = set()
     for d in enumerate_derivations(full.forest):
-        spans = tuple(sorted(collect_spans(derivation_to_tree(full.forest, d))))
+        spans = tuple(sorted(collect_spans(derivation_to_tree(d))))
         if consistent(spans):
-            full_sigs.add(derivation_signature(full.forest, d))
+            full_sigs.add(derivation_signature(d))
     got_sigs = {
-        derivation_signature(constrained.forest, d)
+        derivation_signature(d)
         for d in enumerate_derivations(constrained.forest)
     }
     assert got_sigs == full_sigs
@@ -370,9 +371,42 @@ def test_forest_nodes_children_first(grammar):
         seen = set()
         for key, node in forest.nodes.items():
             for b in getattr(node, "bundles", ()):
-                assert all(c in seen for c in b.children)
+                assert all(c.key in seen for c in b.children)
             seen.add(key)
         assert key == ROOT_KEY
+        assert_walk_matches_oracle(forest)
+
+
+def assert_walk_matches_oracle(forest):
+    """forest.nodes holds the nodes the key-based walk places, in its
+    order, each under its own key."""
+    oracle = children_first(forest.root)
+    assert list(oracle) == list(forest.nodes)
+    assert all(a is b for a, b in zip(oracle.values(), forest.nodes.values()))
+    assert all(key == node.key for key, node in forest.nodes.items())
+
+
+FIXTURE_GRAMMARS = ("agree.gr", "agree_relaxed.gr", "catalan.gr", "commatext.gr",
+                    "integrated.gr", "tagseq.gr")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_children_first_walk_matches_key_walk_on_random_lattices(data):
+    """On random lattices over each fixture grammar's terminals, with up to
+    six hypotheses per token and a label now and then listed twice, the
+    walk on node slots places the nodes the key-based walk does, in the
+    same order."""
+    grammar = data.draw(st.sampled_from(FIXTURE_GRAMMARS))
+    _, backbone, residues, table = compile_fixture(grammar)
+    terminals = sorted(backbone.terminals)
+    tokens = []
+    for i in range(data.draw(st.integers(1, 7))):
+        labels = data.draw(st.lists(st.sampled_from(terminals), min_size=1, max_size=6))
+        tokens.append(Token("w%d" % i, i, tuple((label, 0.5) for label in labels)))
+    outcome = parse_lattice(SentenceLattice(tuple(tokens)), table, residues)
+    if outcome.ok:
+        assert_walk_matches_oracle(outcome.forest)
 
 
 # Residues that keep an unbound variable: A's mother is never bound, so its

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, compile_fixture
+from conftest import FIXTURES, compile_fixture, recursion_headroom
 from punclr import cli, glr, model as model_module
 from punclr.cli import train_from_trees, train_model_from_treebanks
 from punclr.evalmetrics import extract_brackets
@@ -65,9 +65,9 @@ def branchy_histories(table, residues, n_left=3, n_right=1):
     derivs = enumerate_derivations(outcome.forest)
     by_shape = {}
     for d in derivs:
-        tree = derivation_to_tree(outcome.forest, d)
+        tree = derivation_to_tree(d)
         left = tree.children[0].end == 2
-        by_shape["left" if left else "right"] = derivation_transitions(outcome.forest, d)
+        by_shape["left" if left else "right"] = derivation_transitions(d)
     return [by_shape["left"]] * n_left + [by_shape["right"]] * n_right, by_shape
 
 
@@ -195,7 +195,7 @@ def test_score_deterministic_contexts_give_zero():
     # a one-token sentence passes only through singleton contexts
     outcome = parse(table, residues, ["a"])
     (deriv,) = enumerate_derivations(outcome.forest)
-    transitions = derivation_transitions(outcome.forest, deriv)
+    transitions = derivation_transitions(deriv)
     deterministic = [
         t for t in transitions if len(table.actions[(t[0], t[1])]) == 1
     ]
@@ -244,8 +244,8 @@ def nbest_oracle(forest, model, n):
     derivs = enumerate_derivations(forest)
     scored = [
         (
-            score_derivation(derivation_transitions(forest, d), model),
-            derivation_signature(forest, d),
+            score_derivation(derivation_transitions(d), model),
+            derivation_signature(d),
             d,
         )
         for d in derivs
@@ -326,7 +326,7 @@ def test_rank_nbest_equals_enumeration_top_n_on_random_models(data):
     derivs = enumerate_derivations(forest)
     picks = data.draw(st.lists(
         st.tuples(st.integers(0, len(derivs) - 1), st.floats(0.01, 10.0)), max_size=4))
-    counts = train_counts([derivation_transitions(forest, derivs[i]) for i, _ in picks],
+    counts = train_counts([derivation_transitions(derivs[i]) for i, _ in picks],
                           table.table_hash(), [w for _, w in picks])
     model = smooth_good_turing(counts, table)
     oracle = nbest_oracle(forest, model, len(derivs))
@@ -369,7 +369,7 @@ def test_rank_ties_follow_signature_order():
     )
     for length in range(2, 10):
         forest = parse(table, residues, ["a"] * length).forest
-        sigs = sorted(derivation_signature(forest, d) for d in enumerate_derivations(forest))
+        sigs = sorted(derivation_signature(d) for d in enumerate_derivations(forest))
         for n in (1, 2, 3, 5, 10):
             ranked = rank_nbest(forest, certain, n)
             assert [flat_signature(a.signature) for a in ranked] == sigs[:n], (length, n)
@@ -388,7 +388,7 @@ def test_deep_tie_ranks_without_recursion():
     first, second = rank_nbest(forest, model, 2)
     assert first.log_prob == second.log_prob
     assert [flat_signature(first.signature), flat_signature(second.signature)] == sorted(
-        derivation_signature(forest, d) for d in enumerate_derivations(forest))
+        derivation_signature(d) for d in enumerate_derivations(forest))
 
 
 def test_deep_tied_bundles_rank_without_recursion():
@@ -409,7 +409,7 @@ def test_deep_tied_bundles_rank_without_recursion():
         {(s, l, a): 1.0 for (s, l), actions in table.actions.items() for a in actions},
         {}, table.table_hash(),
     )
-    sigs = sorted(derivation_signature(forest, d) for d in enumerate_derivations(forest))
+    sigs = sorted(derivation_signature(d) for d in enumerate_derivations(forest))
     assert len(sigs) == 20
     for n in (1, 2):
         ranked = rank_nbest(forest, certain, n)
@@ -417,6 +417,39 @@ def test_deep_tied_bundles_rank_without_recursion():
         assert [a.log_prob for a in ranked] == [0.0] * n
     with pytest.raises(RecursionError):
         ranked[0].signature < ranked[1].signature
+
+
+def test_deep_tie_fallback_flattens_each_signature_once(monkeypatch):
+    """S -> L R over a^400 splits the sentence at 399 points, which tie
+    under probability 1.0 and whose signatures first differ deep in L's
+    chain.  With the recursion limit 150 frames up, the seeding pass, S's
+    candidate heap and the final sort compare flat preorders, and however
+    often a signature is compared, it is flattened once: no object reaches
+    _preorder twice.  The ranking is still the enumeration's signature
+    order."""
+    grammar = "%start S\nS -> L R ;\nL -> L 'a' ;\nL -> 'a' ;\nR -> 'a' R ;\nR -> 'a' ;\n"
+    backbone, residues = compile_grammar(parse_grammar_file(grammar))
+    table = build_lalr(backbone)
+    forest = parse(table, residues, ["a"] * 400).forest
+    certain = ProbModel(
+        {(s, l, a): 1.0 for (s, l), actions in table.actions.items() for a in actions},
+        {}, table.table_hash(),
+    )
+    sigs = sorted(derivation_signature(d) for d in enumerate_derivations(forest))
+    assert len(sigs) == 399
+    flattened = []  # held, so no two of them share an id
+    preorder = model_module._preorder
+
+    def counted(nested):
+        flattened.append(nested)
+        return preorder(nested)
+
+    monkeypatch.setattr(model_module, "_preorder", counted)
+    with recursion_headroom(150):
+        ranked = rank_nbest(forest, certain, 3)
+    assert len(flattened) > 399  # the seeding pass's tie-break and more
+    assert len({id(nested) for nested in flattened}) == len(flattened)
+    assert [flat_signature(a.signature) for a in ranked] == sigs[:3]
 
 
 def test_scaling_invariance_of_argmax():
@@ -561,7 +594,7 @@ def forest_consumer_digests(grammar):
                 ranks.update(b"%d\t%d\t%r\t%s\n"
                              % (i, a.rank, a.log_prob, format_tree(a.tree).encode()))
         for d in enumerate_derivations(forest):
-            sigs.update(repr(derivation_signature(forest, d)).encode())
+            sigs.update(repr(derivation_signature(d)).encode())
         hists.update(repr(extract_histories(forest)).encode())
     return tuple(h.hexdigest()[:16] for h in (ranks, sigs, hists))
 
@@ -638,7 +671,7 @@ def test_deep_chain_ranks_and_extracts_without_recursion():
     assert (analysis.tree.start, analysis.tree.end) == (0, 2000)
     histories, weights = extract_histories(outcome.forest)
     assert weights == [1.0] and len(histories[0]) == 2 * 2000 + 1
-    tree = derivation_to_tree(outcome.forest, analysis.derivation)
+    tree = derivation_to_tree(analysis.derivation)
     depth = 0
     while tree.children:
         tree = tree.children[0]
@@ -678,9 +711,9 @@ def test_ranked_trees_equal_fresh_walks_and_share_subtrees():
             forest = outcome.forest
             ranked = rank_nbest(forest, model, 10)
             for a in ranked:
-                assert a.tree == derivation_to_tree(forest, a.derivation)
+                assert a.tree == derivation_to_tree(a.derivation)
                 spliced += any(
-                    glr.is_iteration_symbol(getattr(forest.nodes[d[0]], "symbol", ""))
+                    glr.is_iteration_symbol(getattr(d[0], "symbol", ""))
                     for _, d in glr.walk_derivation(a.derivation))
             if grammar == "catalan.gr":
                 subtrees = [_subtrees_by_subderivation(a) for a in ranked]
