@@ -7,21 +7,23 @@ The base commit is exported with git archive (bench_pairs.export) into a
 temporary directory; the change is the working tree this script sits in.
 perfbench/gen.py writes the benchmark's seed-5 inputs once, and both trees
 read those, the inputs the script writes (a 750-link unit chain, a grammar
-with a unit cycle, and the left-recursive chain S -> S 'a' with three
-training trees and one 2000-token sentence) and the working tree's
-fixtures, so only the code differs.  A fixed list of default-format
-invocations runs in each tree: compile, parse --dump-forest, stats, rank
-(--nbest 1 and 10, --tag-likelihoods), train, eval, eval --parsed and
-ablate; rank also in tsv, whose %r log-probs show every bit, on the
-2000-token chain (deep trees), and with --nbest 50 on the seed-5 catalan
-sentences, whose scores tie often.  Each runs as `python -m
-punclr.cli` in a directory of its own, without writing bytecode: once in
-the base tree under PYTHONHASHSEED=1, and twice in the working tree, under
-PYTHONHASHSEED=1 and 2, so output that follows string hashing shows as a
-difference too.  The script compares the runs' stdout, their stderr (each
-tree's and each output directory's path replaced by a placeholder), their
-exit codes and every file they wrote, prints one line per invocation, and
-exits 1 when any of them differs, naming each that does.
+with a unit cycle, six malformed grammars, and the left-recursive chain
+S -> S 'a' with three training trees and one 2000-token sentence) and the
+working tree's fixtures, so only the code differs.  A fixed list of
+default-format invocations runs in each tree: compile (of the malformed
+grammars too, so the reader's error messages are compared), parse
+--dump-forest, stats, rank (--nbest 1 and 10, --tag-likelihoods), train,
+eval, eval --parsed and ablate; rank also in tsv, whose %r log-probs show
+every bit, on the 2000-token chain (deep trees), and with --nbest 50 on
+the seed-5 catalan sentences, whose scores tie often.  Each runs as
+`python -m punclr.cli` in a directory of its own, without writing
+bytecode: once in the base tree under PYTHONHASHSEED=1, and twice in the
+working tree, under PYTHONHASHSEED=1 and 2, so output that follows string
+hashing shows as a difference too.  The script compares the runs' stdout,
+their stderr (each tree's and each output directory's path replaced by a
+placeholder), their exit codes and every file they wrote, prints one line
+per invocation, and exits 1 when any of them differs, naming each that
+does.
 
 Standard library only.
 """
@@ -46,16 +48,27 @@ RUNS = (("base", "1"), ("change", "1"), ("change", "2"))
 CHAIN_LINKS = 750
 CYCLIC = "%start X\nX -> Y ;\nY -> X ;\nX -> 'a' ;\n"
 DEEP_TOKENS = 2000
+# file stem -> text of a grammar that compile rejects
+MALFORMED = {
+    "unknown-directive": "%begin S\nS -> 'a' ;\n",
+    "missing-semicolon": "%start S\nS -> 'a'\nS -> 'b' ;\n",
+    "undefined-symbol": "%start S\nS -> 'a' Q ;\n",
+    "duplicate-feature": "S[f=a, f=b] -> 'a' ;\n",
+    "percent-mid-line": "S -> 'a' ; %textual\n",
+    "terminal-mother": "%terminals a\nS -> a ;\na -> 'b' ;\n",
+}
 
 
 def write_inputs(gen: Path):
     """In gen: the unit chain A0 -> A1 -> ... -> A750 -> 'a', a grammar
-    whose unit derivations X -> Y -> X form a cycle, and the left-recursive
-    chain S -> S 'a' with a treebank of three short chains and a sentence of
-    2000 a's."""
+    whose unit derivations X -> Y -> X form a cycle, each MALFORMED grammar
+    as <stem>.gr, and the left-recursive chain S -> S 'a' with a treebank of
+    three short chains and a sentence of 2000 a's."""
     chain = "".join("A%d -> A%d ;\n" % (i, i + 1) for i in range(CHAIN_LINKS))
     (gen / "chain.gr").write_text("%%start A0\n%sA%d -> 'a' ;\n" % (chain, CHAIN_LINKS))
     (gen / "cyclic.gr").write_text(CYCLIC)
+    for stem, text in MALFORMED.items():
+        (gen / (stem + ".gr")).write_text(text)
     (gen / "deep.gr").write_text("%start S\nS -> S 'a' ;\nS -> 'a' ;\n")
     (gen / "deep.tb").write_text("(S a)\n(S (S a) a)\n(S (S (S a) a) a)\n")
     (gen / "deep.txt").write_text(" ".join(["a|a:1.0"] * DEEP_TOKENS) + "\n")
@@ -71,6 +84,7 @@ def invocations(gen: Path) -> list:
     out.append(("compile %d-link unit chain" % CHAIN_LINKS,
                 ["compile", gen / "chain.gr", "-o", "table.txt"]))
     out.append(("compile unit cycle", ["compile", gen / "cyclic.gr"]))
+    out += [("compile " + stem, ["compile", gen / (stem + ".gr")]) for stem in MALFORMED]
     sentences = [
         ("fixture tagseq", "tagseq", FIX / "tagged_example.txt", []),
         ("fixture integrated", "integrated", FIX / "tagged_example.txt", []),

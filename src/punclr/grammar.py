@@ -5,6 +5,8 @@ A grammar is a set of rules whose categories carry flat feature maps
 with Kleene star/plus.  Grammars compile into a context-free backbone (bare
 category names, Kleene expanded) plus a residue table giving, for each
 backbone production, the feature constraints to unify when it is reduced.
+A grammar file is read by one tokenizer pass over its whole text and one
+recursive-descent reader (parse_grammar_file; the README gives the format).
 """
 from __future__ import annotations
 
@@ -239,11 +241,12 @@ def residue_signature(features) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# grammar file parsing
+# grammar file reading
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
+      | (?P<directive>%(?P<word>\w+)(?P<args>[^\n#]*))
       | (?P<arrow>->)
       | (?P<quoted>'(?:[^'\\]|\\.)*')
       | (?P<var>\?[A-Za-z0-9_]+)
@@ -253,216 +256,174 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_DIRECTIVE_RE = re.compile(r"^%(\w+)\s*(.*)$")
 
-
-def _tokenize_rule_text(text: str, line_offsets):
+def _tokenize(text: str) -> list:
+    """The tokens of a whole grammar file, as (kind, text, line, col).  A
+    directive runs from its '%' to a '#' or the end of its line, and must
+    open its line: any other '%' is an unexpected character."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m:
-            line, col = line_offsets(pos)
-            raise GrammarError("unexpected character %r" % text[pos], line, col)
+        kind = m and m.lastgroup
+        if kind not in ("ws", "comment"):
+            line = bisect.bisect_right(line_starts, pos)
+            col = pos - line_starts[line - 1] + 1
+            if not m or kind == "directive" and text[line_starts[line - 1]:pos].strip():
+                raise GrammarError("unexpected character %r" % text[pos], line, col)
+            tokens.append((kind, m.group().rstrip(), line, col))
         pos = m.end()
-        kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        line, col = line_offsets(m.start())
-        tokens.append((kind, m.group(), line, col))
     return tokens
 
 
-class _RuleParser:
-    """Recursive-descent parser for the rule portion of a grammar file."""
+class _Reader:
+    """Recursive-descent reader over a grammar file's tokens.  Directives
+    take effect where they stand, and each rule's variables are made as its
+    categories are read: one Var per name per rule, in the order of the
+    categories and of their (name-sorted) features."""
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-        self.quoted_terminals: set = set()
+        self.start = None
+        self.terminals: set = set()  # declared and quoted
+        self.textual = False
+        self.vars: dict = {}  # name -> Var, for the rule being read
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self, expect_kind=None, expect_text=None):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else ("", "", 0, 0)
-            raise GrammarError("unexpected end of input", last[2], last[3])
-        kind, text, line, col = tok
-        if expect_kind and kind != expect_kind:
-            raise GrammarError("expected %s, found %r" % (expect_kind, text), line, col)
-        if expect_text and text != expect_text:
-            raise GrammarError("expected %r, found %r" % (expect_text, text), line, col)
+    def next(self, kind=None, text=None):
+        if self.i == len(self.tokens):
+            _, _, line, col = self.tokens[-1]
+            raise GrammarError("unexpected end of input", line, col)
+        tok = self.tokens[self.i]
+        if kind and tok[0] != kind:
+            raise GrammarError("expected %s, found %r" % (kind, tok[1]), *tok[2:])
+        if text and tok[1] != text:
+            raise GrammarError("expected %r, found %r" % (text, tok[1]), *tok[2:])
         self.i += 1
         return tok
 
-    def at(self, text) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == text
+    def at(self, text, ahead=0) -> bool:
+        i = self.i + ahead
+        return i < len(self.tokens) and self.tokens[i][1] == text
 
-    def parse_rules(self, textual: bool):
+    def read(self) -> list:
+        """(explicit rule id or None, mother, daughters, textual, line, col)
+        for each rule in file order."""
         rules = []
-        while self.peek() is not None:
-            rules.append(self.parse_rule(textual))
+        while self.i < len(self.tokens):
+            kind, text, line, _ = self.tokens[self.i]
+            if kind == "directive":
+                self.i += 1
+                self.directive(text, line)
+            else:
+                rules.append(self.rule())
         return rules
 
-    def parse_rule(self, textual: bool):
-        rule_id = None
-        kind, text, line, col = self.peek()
-        if kind == "sym" and self.i + 1 < len(self.tokens) and self.tokens[self.i + 1][1] == ":":
-            self.next()
-            self.next(expect_text=":")
+    def directive(self, text, line):
+        # errors point at the start of the directive's line
+        word, args = _TOKEN_RE.match(text).group("word", "args")
+        args = args.split()
+        if word == "start":
+            if not args:
+                raise GrammarError("%start needs a symbol", line, 1)
+            self.start = args[0]
+        elif word == "terminals":
+            self.terminals.update(args)
+        elif word in ("textual", "syntactic"):
+            self.textual = word == "textual"
         else:
-            text = None
-        rule_id = text
-        mother, quoted = self.parse_category()
+            raise GrammarError("unknown directive %%%s" % word, line, 1)
+
+    def rule(self):
+        kind, rule_id, line, col = self.tokens[self.i]
+        if kind == "sym" and self.at(":", 1):
+            self.i += 2
+        else:
+            rule_id = None
+        self.vars = {}
+        mother, quoted = self.category()
         if quoted:
             raise GrammarError("rule mother cannot be a quoted terminal", line, col)
-        self.next(expect_text="->")
+        self.next(text="->")
         daughters = []
         while not self.at(";"):
-            cat, _ = self.parse_category()
+            cat, _ = self.category()
             rep = ONE
-            if self.at("*"):
-                self.next()
-                rep = STAR
-            elif self.at("+"):
-                self.next()
-                rep = PLUS
+            if self.at("*") or self.at("+"):
+                rep = STAR if self.next()[1] == "*" else PLUS
             daughters.append(Daughter(cat, rep))
-        self.next(expect_text=";")
+        self.next(text=";")
         if not daughters:
             raise GrammarError("rule has no daughters", line, col)
-        return rule_id, Rule("", mother, tuple(daughters), textual), (line, col)
+        return rule_id, mother, tuple(daughters), self.textual, line, col
 
-    def parse_category(self):
+    def category(self):
+        """The next category, and whether it is a quoted terminal."""
         kind, text, line, col = self.next()
         if kind == "quoted":
             name = re.sub(r"\\(.)", r"\1", text[1:-1])
+            if any(map(str.isspace, name)):
+                raise GrammarError("quoted terminal %r contains whitespace" % name, line, col)
             if self.at("["):
                 raise GrammarError("terminal %r cannot carry features" % name, line, col)
-            self.quoted_terminals.add(name)
+            self.terminals.add(name)
             return Category(name), True
         if kind != "sym":
             raise GrammarError("expected category symbol, found %r" % text, line, col)
         feats: dict = {}
         if self.at("["):
-            self.next()
+            self.i += 1
             while not self.at("]"):
-                _, fname, fline, fcol = self.next(expect_kind="sym")
-                self.next(expect_text="=")
-                vkind, vtext, vline, vcol = self.next()
+                _, fname, fline, fcol = self.next("sym")
+                self.next(text="=")
+                vkind, value, vline, vcol = self.next()
                 if vkind not in ("var", "sym"):
-                    raise GrammarError("expected feature value, found %r" % vtext, vline, vcol)
+                    raise GrammarError("expected feature value, found %r" % value, vline, vcol)
                 if fname in feats:
                     raise GrammarError("duplicate feature %r" % fname, fline, fcol)
-                feats[fname] = ("var", vtext[1:]) if vkind == "var" else ("const", vtext)
+                feats[fname] = value
                 if self.at(","):
-                    self.next()
-            self.next(expect_text="]")
-        return Category(text, make_features(feats)), False
+                    self.i += 1
+            self.next(text="]")
+        return Category(text, tuple((f, self.var(v[1:]) if v[0] == "?" else v)
+                                    for f, v in sorted(feats.items()))), False
 
-
-def _resolve_rule_vars(rule: Rule) -> Rule:
-    """Replace ('var', name) placeholders with Var objects shared per rule."""
-    vars_by_name: dict = {}
-
-    def fix(cat: Category) -> Category:
-        out = {}
-        for f, v in cat.features:
-            tag, val = v
-            if tag == "var":
-                if val not in vars_by_name:
-                    vars_by_name[val] = Var(val)
-                out[f] = vars_by_name[val]
-            else:
-                out[f] = val
-        return Category(cat.name, make_features(out))
-
-    return Rule(
-        rule.id,
-        fix(rule.mother),
-        tuple(Daughter(fix(d.cat), d.rep) for d in rule.daughters),
-        rule.textual,
-    )
+    def var(self, name: str) -> Var:
+        v = self.vars.get(name)
+        if v is None:
+            v = self.vars[name] = Var(name)
+        return v
 
 
 def parse_grammar_file(text: str) -> Grammar:
-    """Parse grammar-file content into a validated Grammar.
+    """Read grammar-file content into a validated Grammar.
 
-    Raises GrammarError with line/column positions on syntax errors,
-    duplicate rule ids, undefined symbols, or textual/syntactic feature
-    overlap.
+    One tokenizer pass covers the whole text and one reader consumes its
+    tokens.  Rules without an id are numbered r1, r2, ... in file order,
+    skipping the ids the file names.  Raises GrammarError, with line/column
+    positions where they apply, on syntax errors, duplicate rule ids,
+    terminals used as mothers, undefined symbols, a start symbol that is no
+    rule's mother, or textual/syntactic feature overlap.
     """
-    start = None
-    declared_terminals: list = []
-    sections: list = []  # (textual flag, rule-text, start line)
-    current: list = []
-    current_textual = False
-    current_start_line = 1
-
-    def flush(next_textual, next_line):
-        nonlocal current, current_textual, current_start_line
-        if current:
-            sections.append((current_textual, current, current_start_line))
-        current = []
-        current_textual = next_textual
-        current_start_line = next_line
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        m = _DIRECTIVE_RE.match(stripped)
-        if m:
-            word, rest = m.group(1), m.group(2).strip()
-            if word == "start":
-                if not rest:
-                    raise GrammarError("%start needs a symbol", lineno, 1)
-                start = rest.split()[0]
-            elif word == "terminals":
-                declared_terminals.extend(rest.split())
-            elif word == "textual":
-                flush(True, lineno)
-            elif word == "syntactic":
-                flush(False, lineno)
-            else:
-                raise GrammarError("unknown directive %%%s" % word, lineno, 1)
-            current.append("")  # keep line numbering aligned
-            continue
-        current.append(raw)
-
-    flush(False, 0)
-
-    rules: list = []
-    seen_ids: dict = {}
-    quoted_terminals: set = set()
-    auto = itertools.count(1)
-    for textual, lines, start_line in sections:
-        body = "\n".join(lines)
-        offsets = _make_line_offsets(body, start_line)
-        tokens = _tokenize_rule_text(body, offsets)
-        parser = _RuleParser(tokens)
-        parsed = parser.parse_rules(textual)
-        quoted_terminals |= parser.quoted_terminals
-        for rule_id, rule, (line, col) in parsed:
-            if rule_id is None:
-                rule_id = "r%d" % next(auto)
-            if rule_id in seen_ids:
-                raise GrammarError(
-                    "duplicate rule id %r (first defined at line %d)"
-                    % (rule_id, seen_ids[rule_id]),
-                    line,
-                    col,
-                )
-            seen_ids[rule_id] = line
-            rule = Rule(rule_id, rule.mother, rule.daughters, rule.textual)
-            rules.append((_resolve_rule_vars(rule), line, col))
+    reader = _Reader(_tokenize(text))
+    parsed = reader.read()
+    named: dict = {}  # explicit rule id -> its line
+    for rule_id, *_, line, col in parsed:
+        if rule_id in named:
+            raise GrammarError("duplicate rule id %r (first defined at line %d)"
+                               % (rule_id, named[rule_id]), line, col)
+        if rule_id is not None:
+            named[rule_id] = line
+    auto = (rid for rid in map("r%d".__mod__, itertools.count(1)) if rid not in named)
+    rules = [(Rule(rule_id or next(auto), mother, daughters, textual), line, col)
+             for rule_id, mother, daughters, textual, line, col in parsed]
 
     if not rules:
         raise GrammarError("grammar has no rules")
 
     mothers = {r.mother.name for r, _, _ in rules}
-    terminals = set(declared_terminals) | quoted_terminals
+    terminals = reader.terminals
     for r, line, col in rules:
         if r.mother.name in terminals:
             raise GrammarError(
@@ -476,6 +437,7 @@ def parse_grammar_file(text: str) -> Grammar:
             if name not in mothers and name not in terminals:
                 raise GrammarError("undefined symbol %r" % name, line, col)
 
+    start = reader.start
     if start is None:
         start = rules[0][0].mother.name
     if start not in mothers:
@@ -495,21 +457,7 @@ def parse_grammar_file(text: str) -> Grammar:
             % ", ".join(sorted(overlap))
         )
 
-    grammar = Grammar(tuple(r for r, _, _ in rules), frozenset(terminals), start)
-    return grammar
-
-
-def _make_line_offsets(text: str, first_line: int):
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-
-    def locate(pos: int):
-        idx = bisect.bisect_right(starts, pos) - 1
-        return first_line + idx, pos - starts[idx] + 1
-
-    return locate
+    return Grammar(tuple(r for r, _, _ in rules), frozenset(terminals), start)
 
 
 def load_grammar(path) -> Grammar:

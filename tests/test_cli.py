@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -305,7 +307,7 @@ def _catalan_gold(tmp_path, n):
     return gold
 
 
-def test_eval_timeout_covers_ranking(capsys, tmp_path):
+def test_eval_timeout_covers_ranking(capsys, tmp_path, monkeypatch):
     from punclr.cli import load_artifacts, train_model_from_treebanks
     from punclr.glr import lattice_from_labels, parse_lattice
     from punclr.model import rank_nbest, save_model
@@ -315,16 +317,19 @@ def test_eval_timeout_covers_ranking(capsys, tmp_path):
         artifacts, [FIXTURES / "catalan_train.tb"], [1.0])
     model = tmp_path / "m.model"
     save_model(trained, model)
-    lattice = lattice_from_labels(["a"] * 40)
-    parse_s, rank_s = [], []
-    for _ in range(3):
-        outcome = parse_lattice(lattice, artifacts[3], artifacts[2])
-        parse_s.append(outcome.cpu_seconds)
-        t0 = time.process_time()
-        rank_nbest(outcome.forest, trained, 1)
-        rank_s.append(time.process_time() - t0)
+    # a CPU clock that advances one step per read, so budgets count clock
+    # reads and the outcome does not depend on the machine's speed
+    step = 2.0 ** -20
+    reads = itertools.count(1)
+    monkeypatch.setattr(time, "process_time", lambda: next(reads) * step)
+    outcome = parse_lattice(lattice_from_labels(["a"] * 40), artifacts[3], artifacts[2],
+                            budget=math.inf)
+    before = next(reads)
+    rank_nbest(outcome.forest, trained, 1, budget=math.inf)
+    rank_checks = next(reads) - before - 2  # the reads after ranking's first
+    assert rank_checks >= 1
     # enough time to parse the 40-leaf tree, not enough to rank it too
-    timeout = min(parse_s) + min(rank_s) / 2
+    timeout = outcome.cpu_seconds + rank_checks / 2 * step
     argv = ["eval", "--grammar", FIXTURES / "catalan.gr", "--model", model,
             "--gold", _catalan_gold(tmp_path, 40), "--format", "tsv"]
     code, out, err = run(capsys, *argv, "--timeout", repr(timeout))

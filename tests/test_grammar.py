@@ -93,6 +93,94 @@ def test_comment_and_escaped_pipe_free_symbols():
     assert g.terminals == {"a"}
 
 
+# (text, message, line, col) of every error the grammar reader and the
+# checks after it raise; line and col are 0 for errors about the whole file
+GRAMMAR_ERRORS = [
+    pytest.param("%start S\nS -> 'a'\nS -> 'b' ;\n",
+                 "expected category symbol, found '->'", 3, 3, id="missing-semicolon"),
+    pytest.param("%start S\nS -> 'a'", "unexpected end of input", 2, 6, id="end-of-input"),
+    pytest.param("S -> 'a' @ ;\n", "unexpected character '@'", 1, 10, id="bad-character"),
+    pytest.param("S -> 'a' 'b\n", "unexpected character \"'\"", 1, 10,
+                 id="unterminated-quote"),
+    pytest.param("S -> 'a' ; %textual\n", "unexpected character '%'", 1, 12,
+                 id="percent-mid-line"),
+    pytest.param("  %\nS -> 'a' ;\n", "unexpected character '%'", 1, 3, id="bare-percent"),
+    pytest.param("%begin S\nS -> 'a' ;\n", "unknown directive %begin", 1, 1,
+                 id="unknown-directive"),
+    pytest.param("%start # no symbol\nS -> 'a' ;\n", "%start needs a symbol", 1, 1,
+                 id="empty-start"),
+    pytest.param("foo: S -> 'a' ;\nfoo: S -> 'b' ;\n",
+                 "duplicate rule id 'foo' (first defined at line 1)", 2, 1, id="duplicate-id"),
+    pytest.param("r: 'a' -> 'b' ;\n", "rule mother cannot be a quoted terminal", 1, 1,
+                 id="quoted-mother"),
+    pytest.param("S -> ;\n", "rule has no daughters", 1, 1, id="no-daughters"),
+    pytest.param("S 'a' ;\n", "expected '->', found \"'a'\"", 1, 3, id="missing-arrow"),
+    pytest.param("S[f=a, f=b] -> 'a' ;\n", "duplicate feature 'f'", 1, 8,
+                 id="duplicate-feature"),
+    pytest.param("S -> 'a'[f=x] ;\n", "terminal 'a' cannot carry features", 1, 6,
+                 id="features-on-terminal"),
+    pytest.param("S[f='x'] -> 'a' ;\n", "expected feature value, found \"'x'\"", 1, 5,
+                 id="bad-feature-value"),
+    pytest.param("S[=a] -> 'a' ;\n", "expected sym, found '='", 1, 3, id="no-feature-name"),
+    pytest.param("S[f=a -> 'a' ;\n", "expected sym, found '->'", 1, 7,
+                 id="unclosed-features"),
+    pytest.param("S -> Q ;\n", "undefined symbol 'Q'", 1, 1, id="undefined-symbol"),
+    pytest.param("%terminals a\nS -> a ;\na -> 'b' ;\n",
+                 "terminal 'a' used as a rule mother", 3, 1, id="terminal-mother"),
+    pytest.param("%start T\nS -> 'a' ;\n",
+                 "start symbol 'T' is not the mother of any rule", 0, 0, id="start-not-mother"),
+    pytest.param("%start T\nS[num=sg] -> 'a' ;\n%textual\nT[num=sg] -> S ;\n",
+                 "features num used by both textual and syntactic rules", 0, 0,
+                 id="textual-overlap"),
+    pytest.param("# nothing\n%start S\n", "grammar has no rules", 0, 0, id="no-rules"),
+    # a directive inside a rule is a token the rule cannot take
+    pytest.param("S -> 'a'\n%textual\nT -> S ;\n",
+                 "expected category symbol, found '%textual'", 2, 1, id="directive-mid-rule"),
+    # tokens, tags and treebank leaves are split on whitespace
+    pytest.param("S -> 'a b' ;\n", "quoted terminal 'a b' contains whitespace", 1, 6,
+                 id="space-in-terminal"),
+    pytest.param("S -> 'a\\ b' ;\n", "quoted terminal 'a b' contains whitespace", 1, 6,
+                 id="escaped-space-in-terminal"),
+    pytest.param("%start S\nS -> 'a' 'b\nc' ;\n", "quoted terminal 'b\\nc' contains whitespace",
+                 2, 10, id="newline-in-terminal"),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", GRAMMAR_ERRORS)
+def test_grammar_error_message_and_position(text, message, line, col):
+    with pytest.raises(GrammarError) as exc:
+        parse_grammar_file(text)
+    where = "line %d, col %d: " % (line, col) if line else ""
+    assert (str(exc.value), exc.value.line, exc.value.col) == (where + message, line, col)
+
+
+@pytest.mark.parametrize("text, ids", [
+    ("S -> 'a' ;\nr1: S -> 'b' ;\n", ["r2", "r1"]),
+    ("r2: S -> 'a' ;\nS -> 'b' ;\nS -> 'c' ;\n", ["r2", "r1", "r3"]),
+    ("S -> 'a' ;\nx: S -> 'b' ;\nS -> 'c' ;\n", ["r1", "x", "r2"]),
+])
+def test_unnamed_rules_are_numbered_around_named_ids(text, ids):
+    assert [r.id for r in parse_grammar_file(text).rules] == ids
+
+
+def test_directives_open_their_line_and_take_raw_arguments():
+    text = "S -> A ;\n  %terminals NN1 , ( # not a rule\n\t%textual\nA[t=x] -> NN1 ;\n"
+    g = parse_grammar_file(text)
+    assert g.terminals == {"NN1", ",", "("}
+    assert [r.textual for r in g.rules] == [False, True]
+
+
+def test_rule_variables_are_shared_within_a_rule_only():
+    g = parse_grammar_file("S[a=?X, b=?Y] -> T[c=?Y] T[c=?X] ;\nT[c=?X] -> 'a' ;\n")
+    s, t = g.rules
+    (_, x), (_, y) = s.mother.features
+    assert [x.name, y.name] == ["X", "Y"] and x.uid + 1 == y.uid
+    assert s.daughters[0].cat.features == (("c", y),)
+    assert s.daughters[1].cat.features == (("c", x),)
+    (_, tx), = t.mother.features
+    assert tx.name == "X" and tx != x
+
+
 # ---------------------------------------------------------------------------
 # unification
 
