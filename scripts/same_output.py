@@ -15,11 +15,14 @@ grammars too, so the reader's error messages are compared), parse
 --dump-forest, stats, rank (--nbest 1 and 10, --tag-likelihoods), train,
 eval, eval --parsed and ablate; rank also in tsv, whose %r log-probs show
 every bit, on the 2000-token chain (deep trees), and with --nbest 50 on
-the seed-5 catalan sentences, whose scores tie often.  Each runs as
-`python -m punclr.cli` in a directory of its own, without writing
-bytecode: once in the base tree under PYTHONHASHSEED=1, and twice in the
-working tree, under PYTHONHASHSEED=1 and 2, so output that follows string
-hashing shows as a difference too.  The script compares the runs' stdout,
+the seed-5 catalan sentences, whose scores tie often.  Those sentences
+are also ranked (tsv --nbest 10 and --nbest 50) with a model each tree
+trains from the seed-5 catalan rank treebank, since the benchmark's own
+rank models are trained once, by gen.py, with the working tree's code.
+Each runs as `python -m punclr.cli` in a directory of its own, without
+writing bytecode: once in the base tree under PYTHONHASHSEED=1, and twice
+in the working tree, under PYTHONHASHSEED=1 and 2, so output that follows
+string hashing shows as a difference too.  The script compares the runs' stdout,
 their stderr (each tree's and each output directory's path replaced by a
 placeholder), their exit codes and every file they wrote, prints one line
 per invocation, and exits 1 when any of them differs, naming each that
@@ -101,13 +104,15 @@ def invocations(gen: Path) -> list:
         out.append(("stats " + name, ["stats", *grammar]))
     for name, tb in (("fixture catalan", FIX / "catalan_train.tb"),
                      ("fixture tagseq", FIX / "tagseq_gold.tb"),
-                     ("seed-5", te / "train.tb")):
+                     ("seed-5", te / "train.tb"),
+                     ("seed-5 rank catalan", rn / "catalan_train.tb")):
         g = "tagseq" if "tagseq" in name else "catalan"
         out.append(("train " + name, ["train", "--grammar", FIX / (g + ".gr"),
                                       "--treebank", tb, "--model-out", "model",
                                       "--counts-out", "counts"]))
     out.append(("train chain", ["train", "--grammar", gen / "deep.gr", "--treebank",
-                                gen / "deep.tb", "--model-out", "model"]))
+                                gen / "deep.tb", "--model-out", "model",
+                                "--counts-out", "counts"]))
     ranks = [
         ("fixture tagseq", "tagseq", "../train fixture tagseq/model",
          FIX / "tagged_example.txt"),
@@ -130,6 +135,14 @@ def invocations(gen: Path) -> list:
     out.append(("rank --nbest 50 seed-5 catalan",
                 ["rank", "--grammar", FIX / "catalan.gr", "--model", rn / "catalan.model",
                  rn / "catalan.txt", "--nbest", "50"]))
+    # catalan.model above is trained once, by gen.py with the working tree's
+    # code; this model is trained in each tree from the same treebank
+    trained = ["rank", "--grammar", FIX / "catalan.gr", "--model",
+               "../train seed-5 rank catalan/model", rn / "catalan.txt"]
+    out.append(("rank --nbest 10 --format tsv seed-5 catalan, trained in tree",
+                [*trained, "--nbest", "10", "--format", "tsv"]))
+    out.append(("rank --nbest 50 seed-5 catalan, trained in tree",
+                [*trained, "--nbest", "50"]))
     for name, g, model, gold in (
         ("fixture catalan", "catalan", "../train fixture catalan/model",
          FIX / "catalan_test.tb"),

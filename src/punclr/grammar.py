@@ -70,9 +70,6 @@ class Category(NamedTuple):
     name: str
     features: tuple = ()
 
-    def fdict(self) -> dict:
-        return dict(self.features)
-
     def __str__(self):
         if not self.features:
             return self.name
@@ -363,6 +360,8 @@ class _Reader:
         kind, text, line, col = self.next()
         if kind == "quoted":
             name = re.sub(r"\\(.)", r"\1", text[1:-1])
+            if not name:
+                raise GrammarError("quoted terminal is empty", line, col)
             if any(map(str.isspace, name)):
                 raise GrammarError("quoted terminal %r contains whitespace" % name, line, col)
             if self.at("["):

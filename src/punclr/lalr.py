@@ -80,15 +80,6 @@ class LalrTable:
         return self._hash
 
 
-def lookup_actions(table: LalrTable, state: int, lookahead: str) -> frozenset:
-    """Action set for (state, lookahead); empty when nothing applies.
-
-    Unknown lookahead labels yield the empty set rather than an error, so
-    unseen tags merely kill the stack branches that meet them.
-    """
-    return table.actions.get((state, lookahead), frozenset())
-
-
 def _first_sets(backbone: CFBackbone, nullable: set) -> dict:
     """FIRST of every symbol, by a worklist over the `X can begin with Y`
     relation (the digraph view of DeRemer & Pennello 1982): a symbol whose

@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 from .glr import (
@@ -43,9 +42,9 @@ class TransitionCounts:
     def add_occurrences(self, occurrences: dict, histories: int, weight: float):
         """Add `histories` parse histories, each at `weight`, whose
         transitions occur occurrences[key] times in all.  weight is added
-        once per occurrence and once per history, and new keys go in in the
-        order of occurrences, so the float sums and the key order equal
-        train_counts' over the same histories."""
+        once per occurrence and once per history, so each float sum equals
+        train_counts' over the same histories.  Key order is immaterial:
+        nothing that reads counts depends on it."""
         counts = self.counts
         for key, n in occurrences.items():
             c = counts.get(key, 0.0)
@@ -95,8 +94,9 @@ def good_turing_adjusted_count(r: int, freq_of_freq: dict) -> float:
 
 
 def _loglog_slope(freq_of_freq: dict):
-    """Least-squares slope of log N_r against log r (simple Good-Turing)."""
-    points = [(math.log(r), math.log(n)) for r, n in freq_of_freq.items() if n > 0]
+    """Least-squares slope of log N_r against log r (simple Good-Turing),
+    summed in ascending r, so it does not depend on the counts' key order."""
+    points = [(math.log(r), math.log(n)) for r, n in sorted(freq_of_freq.items()) if n > 0]
     if len(points) < 2:
         return None
     mx = sum(x for x, _ in points) / len(points)
@@ -525,58 +525,29 @@ def extract_histories(forest: ParseForest):
 
 def transition_occurrences(forest: ParseForest, inside: dict) -> dict:
     """How often each transition occurs over all the forest's derivations,
-    exactly, keyed in the order extract_histories' histories first meet it.
+    exactly.
 
     inside is glr.inside_counts(forest).  With outside(v) the number of ways
     to complete a derivation of the root around node v, a bundle's
     transition occurs outside(node) x prod inside(child) times and a leaf's
-    outside(leaf) times.  For the order, first(v) is the transitions of v's
-    first derivation and seen(v) those of all its derivations, each in order
-    of first appearance; per bundle, seen(v) takes first(c1) ... first(cr),
-    the bundle's transition, then seen(cr) ... seen(c1), because the last
-    child varies fastest in enumerate_derivations.
+    outside(leaf) times.
     """
-    index: dict = {}  # transition -> small integer, in order of discovery
-    bundle_ids: dict = {}
-    first: dict = {}
-    seen: dict = {}
-    for node in forest.nodes.values():
-        if type(node) is ForestLeaf:
-            first[node] = seen[node] = (index.setdefault(node.transition, len(index)),)
-            continue
-        ids = [index.setdefault(b.transition, len(index)) for b in node.bundles]
-        bundle_ids[node] = ids
-        leading = node.bundles[0].children
-        first[node] = tuple(dict.fromkeys(
-            chain(chain.from_iterable(first[c] for c in leading), (ids[0],))
-        ))
-        if inside[node] == 1:  # one derivation: seen is first
-            seen[node] = first[node]
-            continue
-        order = []
-        for b, t in zip(node.bundles, ids):
-            order.extend(chain.from_iterable(first[c] for c in b.children))
-            order.append(t)
-            order.extend(chain.from_iterable(seen[c] for c in reversed(b.children)))
-        seen[node] = tuple(dict.fromkeys(order))
-
-    occurrences = [0] * len(index)
-    root = forest.root
+    occurrences: dict = {}
     outside = dict.fromkeys(forest.nodes.values(), 0)
-    outside[root] = 1
+    outside[forest.root] = 1
     for node in reversed(forest.nodes.values()):
         if type(node) is ForestLeaf:
-            occurrences[first[node][0]] += outside[node]
+            t = node.transition
+            occurrences[t] = occurrences.get(t, 0) + outside[node]
             continue
-        for b, t in zip(node.bundles, bundle_ids[node]):
+        for b in node.bundles:
             product = outside[node]
             for c in b.children:
                 product *= inside[c]
-            occurrences[t] += product
+            occurrences[b.transition] = occurrences.get(b.transition, 0) + product
             for c in b.children:
                 outside[c] += product // inside[c]
-    transitions = list(index)
-    return {transitions[i]: occurrences[i] for i in seen[root]}
+    return occurrences
 
 
 # ---------------------------------------------------------------------------

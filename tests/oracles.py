@@ -253,7 +253,7 @@ def automaton_language(table, max_len):
     conflict branches are followed, by incremental exploration of viable
     prefixes over plain linear stacks (no graph-structured sharing)."""
     from punclr.grammar import END_MARKER
-    from punclr.lalr import ACCEPT, REDUCE, SHIFT, lookup_actions
+    from punclr.lalr import ACCEPT, REDUCE, SHIFT
 
     terminals = sorted(
         {label for (_, label) in table.actions if label != END_MARKER}
@@ -264,7 +264,7 @@ def automaton_language(table, max_len):
         seen = set(work)
         while work:
             stack = work.pop()
-            for action in lookup_actions(table, stack[-1], lookahead):
+            for action in table.actions.get((stack[-1], lookahead), frozenset()):
                 if action.kind == REDUCE:
                     prod = table.productions[action.arg]
                     base = stack[: len(stack) - len(prod.rhs)]
@@ -284,7 +284,7 @@ def automaton_language(table, max_len):
         if any(
             a.kind == ACCEPT
             for s in final
-            for a in lookup_actions(table, s[-1], END_MARKER)
+            for a in table.actions.get((s[-1], END_MARKER), frozenset())
         ):
             out.add(prefix)
         if len(prefix) == max_len:
@@ -293,7 +293,7 @@ def automaton_language(table, max_len):
             shifted = {
                 s + (a.arg,)
                 for s in closure(stacks, t)
-                for a in lookup_actions(table, s[-1], t)
+                for a in table.actions.get((s[-1], t), frozenset())
                 if a.kind == SHIFT
             }
             if shifted:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, compile_fixture
 from punclr.grammar import END_MARKER, compile_grammar, parse_grammar_file
-from punclr.lalr import ACCEPT, REDUCE, SHIFT, build_lalr, lookup_actions
+from punclr.lalr import ACCEPT, REDUCE, SHIFT, build_lalr
 from punclr.glr import (
     ROOT_KEY,
     SentenceLattice,
@@ -106,7 +106,7 @@ def replay(table, transitions, labels):
     for state, lookahead, action in transitions:
         assert state == stack[-1], (state, stack)
         assert lookahead == labels[pos]
-        assert action in lookup_actions(table, state, lookahead)
+        assert action in table.actions.get((state, lookahead), frozenset())
         if action.kind == SHIFT:
             stack.append(action.arg)
             pos += 1

@@ -32,8 +32,8 @@ def test_parse_minimal_grammar():
     (v,) = vs
     assert v.name == "N"
     # the same Var object is shared by both daughters
-    assert rule.daughters[0].cat.fdict()["num"] is v
-    assert rule.daughters[1].cat.fdict()["num"] is v
+    assert dict(rule.daughters[0].cat.features)["num"] is v
+    assert dict(rule.daughters[1].cat.features)["num"] is v
 
 
 def test_parse_smallest_ambiguous_grammar():
@@ -143,6 +143,11 @@ GRAMMAR_ERRORS = [
                  id="escaped-space-in-terminal"),
     pytest.param("%start S\nS -> 'a' 'b\nc' ;\n", "quoted terminal 'b\\nc' contains whitespace",
                  2, 10, id="newline-in-terminal"),
+    # no token, tag or treebank leaf is empty
+    pytest.param("S -> '' ;\nS -> 'a' ;\n", "quoted terminal is empty", 1, 6,
+                 id="empty-terminal"),
+    pytest.param("%start S\nS -> 'a' '' ;\n", "quoted terminal is empty", 2, 10,
+                 id="empty-terminal-after-daughter"),
 ]
 
 

@@ -10,7 +10,7 @@ from punclr.grammar import (
     nullable_symbols,
     parse_grammar_file,
 )
-from punclr.lalr import ACCEPT, REDUCE, SHIFT, _first_sets, build_lalr, lookup_actions
+from punclr.lalr import ACCEPT, REDUCE, SHIFT, _first_sets, build_lalr
 from oracles import (
     deriving_by_sweeps,
     first_sets_by_sweeps,
@@ -38,7 +38,7 @@ def simulate_accepts(table, string):
         seen = set(work)
         while work:
             stack = work.pop()
-            for action in lookup_actions(table, stack[-1], lookahead):
+            for action in table.actions.get((stack[-1], lookahead), frozenset()):
                 if action.kind == REDUCE:
                     prod = table.productions[action.arg]
                     base = stack[: len(stack) - len(prod.rhs)]
@@ -57,7 +57,7 @@ def simulate_accepts(table, string):
         stacks = closure(stacks, sym)
         next_stacks = set()
         for stack in stacks:
-            for action in lookup_actions(table, stack[-1], sym):
+            for action in table.actions.get((stack[-1], sym), frozenset()):
                 if action.kind == SHIFT:
                     next_stacks.add(stack + (action.arg,))
         stacks = list(next_stacks)
@@ -65,7 +65,7 @@ def simulate_accepts(table, string):
             return False
     stacks = closure(stacks, END_MARKER)
     return any(
-        any(a.kind == ACCEPT for a in lookup_actions(table, stack[-1], END_MARKER))
+        any(a.kind == ACCEPT for a in table.actions.get((stack[-1], END_MARKER), frozenset()))
         for stack in stacks
     )
 
@@ -92,7 +92,7 @@ def enumerate_accepted(table, terminals, max_len):
             seen = set(work)
             while work:
                 stack = work.pop()
-                for action in lookup_actions(table, stack[-1], lookahead):
+                for action in table.actions.get((stack[-1], lookahead), frozenset()):
                     if action.kind == REDUCE:
                         prod = table.productions[action.arg]
                         base = stack[: len(stack) - len(prod.rhs)]
@@ -111,7 +111,7 @@ def enumerate_accepted(table, terminals, max_len):
             stacks = {
                 s + (a.arg,)
                 for s in stacks
-                for a in lookup_actions(table, s[-1], sym)
+                for a in table.actions.get((s[-1], sym), frozenset())
                 if a.kind == SHIFT
             }
             if not stacks:
@@ -158,15 +158,15 @@ def test_reduce_reduce_conflict_retained():
         for a in acts
         if a.kind == SHIFT
     )
-    acts = lookup_actions(table, shift_state, END_MARKER)
+    acts = table.actions.get((shift_state, END_MARKER), frozenset())
     assert len(acts) == 2
     assert all(a.kind == REDUCE for a in acts)
 
 
 def test_lookup_unknown_label_is_empty():
     table, _, _ = table_for("%start S\nS -> 'a' ;\n")
-    assert lookup_actions(table, 0, "a") != frozenset()
-    assert lookup_actions(table, 0, "zz") == frozenset()
+    assert table.actions.get((0, "a"), frozenset()) != frozenset()
+    assert table.actions.get((0, "zz"), frozenset()) == frozenset()
 
 
 def test_ambiguous_grammar_language_exact():
