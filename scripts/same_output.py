@@ -7,12 +7,13 @@ The base commit is exported with git archive (bench_pairs.export) into a
 temporary directory; the change is the working tree this script sits in.
 perfbench/gen.py writes the benchmark's seed-5 inputs once, and both trees
 read those, the inputs the script writes (a 750-link unit chain, a grammar
-with a unit cycle, six malformed grammars, and the left-recursive chain
-S -> S 'a' with three training trees and one 2000-token sentence) and the
-working tree's fixtures, so only the code differs.  A fixed list of
-default-format invocations runs in each tree: compile (of the malformed
-grammars too, so the reader's error messages are compared), parse
---dump-forest, stats, rank (--nbest 1 and 10, --tag-likelihoods), train,
+with a unit cycle, six malformed grammars, the left-recursive chain
+S -> S 'a' with three training trees and one 2000-token sentence, and a
+grammar of 4- and 5-daughter rules with nullable daughters between them,
+with five sentences of it) and the working tree's fixtures, so only the
+code differs.  A fixed list of default-format invocations runs in each
+tree: compile (of the malformed grammars too, so the reader's error
+messages are compared), parse --dump-forest, stats, rank (--nbest 1 and 10, --tag-likelihoods), train,
 eval, eval --parsed and ablate; rank also in tsv, whose %r log-probs show
 every bit, on the 2000-token chain (deep trees), and with --nbest 50 on
 the seed-5 catalan sentences, whose scores tie often.  Those sentences
@@ -60,13 +61,25 @@ MALFORMED = {
     "percent-mid-line": "S -> 'a' ; %textual\n",
     "terminal-mother": "%terminals a\nS -> a ;\na -> 'b' ;\n",
 }
+# rules whose reduces pop paths of 4 and 5 edges, across the zero-width
+# edges of E*, and sentences of it, some with two labels on a token
+WIDE = ("%start S\nS -> S S ;\nS -> 'a' ;\nS -> 'a' E* S 'b' ;\n"
+        "S -> S E* 'c' E* S ;\nE -> 'b' ;\n")
+WIDE_SENTENCES = (
+    "a|a:1.0 a|a:1.0 b|b:1.0\n"
+    "a|a:1.0 b|b:1.0 b|b:1.0 a|a:1.0 b|b:1.0\n"
+    "a|a:1.0 c|c:1.0 a|a:1.0 b|b:1.0 c|c:1.0 b|b:1.0 a|a:1.0\n"
+    "a|a:1.0 x|b:0.5|c:0.5 a|a:1.0 x|c:0.5|b:0.5 a|a:1.0 b|b:1.0\n"
+    "a|a:1.0 a|a:1.0 x|b:0.5|c:0.5 a|a:1.0 x|c:0.6|b:0.4 x|b:0.5|a:0.5 a|a:1.0 b|b:1.0\n"
+)
 
 
 def write_inputs(gen: Path):
     """In gen: the unit chain A0 -> A1 -> ... -> A750 -> 'a', a grammar
     whose unit derivations X -> Y -> X form a cycle, each MALFORMED grammar
-    as <stem>.gr, and the left-recursive chain S -> S 'a' with a treebank of
-    three short chains and a sentence of 2000 a's."""
+    as <stem>.gr, the left-recursive chain S -> S 'a' with a treebank of
+    three short chains and a sentence of 2000 a's, and the WIDE grammar with
+    its sentences."""
     chain = "".join("A%d -> A%d ;\n" % (i, i + 1) for i in range(CHAIN_LINKS))
     (gen / "chain.gr").write_text("%%start A0\n%sA%d -> 'a' ;\n" % (chain, CHAIN_LINKS))
     (gen / "cyclic.gr").write_text(CYCLIC)
@@ -75,6 +88,8 @@ def write_inputs(gen: Path):
     (gen / "deep.gr").write_text("%start S\nS -> S 'a' ;\nS -> 'a' ;\n")
     (gen / "deep.tb").write_text("(S a)\n(S (S a) a)\n(S (S (S a) a) a)\n")
     (gen / "deep.txt").write_text(" ".join(["a|a:1.0"] * DEEP_TOKENS) + "\n")
+    (gen / "wide.gr").write_text(WIDE)
+    (gen / "wide.txt").write_text(WIDE_SENTENCES)
 
 
 def invocations(gen: Path) -> list:
@@ -89,17 +104,18 @@ def invocations(gen: Path) -> list:
     out.append(("compile unit cycle", ["compile", gen / "cyclic.gr"]))
     out += [("compile " + stem, ["compile", gen / (stem + ".gr")]) for stem in MALFORMED]
     sentences = [
-        ("fixture tagseq", "tagseq", FIX / "tagged_example.txt", []),
-        ("fixture integrated", "integrated", FIX / "tagged_example.txt", []),
-        ("fixture plain", "tagseq", FIX / "tagged_plain.txt", ["--plain"]),
-        ("fixture commas", "commatext", FIX / "comma_series.txt", []),
-        ("seed-5 tagseq", "tagseq", pc / "tagseq.txt", []),
-        ("seed-5 integrated", "integrated", pc / "tagseq.txt", []),
-        ("seed-5 commas", "commatext", pc / "comma.txt", []),
-        ("seed-5 catalan", "catalan", pc / "catalan.txt", []),
+        ("fixture tagseq", FIX / "tagseq.gr", FIX / "tagged_example.txt", []),
+        ("fixture integrated", FIX / "integrated.gr", FIX / "tagged_example.txt", []),
+        ("fixture plain", FIX / "tagseq.gr", FIX / "tagged_plain.txt", ["--plain"]),
+        ("fixture commas", FIX / "commatext.gr", FIX / "comma_series.txt", []),
+        ("seed-5 tagseq", FIX / "tagseq.gr", pc / "tagseq.txt", []),
+        ("seed-5 integrated", FIX / "integrated.gr", pc / "tagseq.txt", []),
+        ("seed-5 commas", FIX / "commatext.gr", pc / "comma.txt", []),
+        ("seed-5 catalan", FIX / "catalan.gr", pc / "catalan.txt", []),
+        ("wide rules", gen / "wide.gr", gen / "wide.txt", []),
     ]
     for name, g, path, extra in sentences:
-        grammar = ["--grammar", FIX / (g + ".gr"), *extra, path]
+        grammar = ["--grammar", g, *extra, path]
         out.append(("parse " + name, ["parse", *grammar, "--dump-forest", "forests"]))
         out.append(("stats " + name, ["stats", *grammar]))
     for name, tb in (("fixture catalan", FIX / "catalan_train.tb"),

@@ -55,6 +55,19 @@ def load_artifacts(grammar_path):
     return grammar, backbone, residues, table
 
 
+def load_model_for(table, path):
+    """The model at path, which must have been trained against table."""
+    from .model import load_model
+
+    model = load_model(path)
+    if model.table_hash != table.table_hash():
+        raise DataError(
+            "model %s was trained against table %s, not the grammar's table %s"
+            % (path, model.table_hash, table.table_hash())
+        )
+    return model
+
+
 def read_lattices(path, plain, certainty, ratio):
     out = []
     for tokens in read_tagged_file(path, plain=plain):
@@ -290,16 +303,11 @@ def cmd_train(args):
 
 
 def cmd_rank(args):
-    from .model import RankTimeout, load_model, rank_nbest
+    from .model import RankTimeout, rank_nbest
     from .trees import format_tree
 
-    artifacts = load_artifacts(args.grammar)
-    grammar, backbone, residues, table = artifacts
-    model = load_model(args.model)
-    if model.table_hash != table.table_hash():
-        raise DataError(
-            "model %s was trained against a different table" % args.model
-        )
+    grammar, backbone, residues, table = load_artifacts(args.grammar)
+    model = load_model_for(table, args.model)
     lattices = read_lattices(args.input, args.plain, args.certainty, args.ratio)
     failures = 0
     for i, lat in enumerate(lattices):
@@ -399,7 +407,6 @@ def evaluate_against_gold(artifacts, gold_trees, model=None, rng=None, timeout=N
 
 def cmd_eval(args):
     from .evalmetrics import extract_brackets, geig_report
-    from .model import load_model
     from .trees import read_treebank
 
     gold = list(read_treebank(args.gold))
@@ -425,9 +432,7 @@ def cmd_eval(args):
         if not args.grammar or not args.model:
             raise UsageError("eval needs either --parsed or --grammar and --model")
         artifacts = load_artifacts(args.grammar)
-        model = load_model(args.model)
-        if model.table_hash != artifacts[3].table_hash():
-            raise DataError("model does not match the grammar's table")
+        model = load_model_for(artifacts[3], args.model)
         report, failed = evaluate_against_gold(
             artifacts, [t for _, t in gold], model, timeout=args.timeout
         )

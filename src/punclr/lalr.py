@@ -32,9 +32,6 @@ class Action(NamedTuple):
         return "acc"
 
 
-EMPTY_ROW = ((), (), None)
-
-
 class LalrTable:
     """The LALR(1) table: per (state, label) action sets, gotos and the
     productions that reduce actions index."""
@@ -50,18 +47,36 @@ class LalrTable:
         self.gotos = gotos  # (state, nonterminal) -> state
         self.productions = productions  # indexable by Action.arg for reduces
         self.start_state = start_state
-        # (state, label) -> (((reduce Action, arity), ...), (shift Action, ...),
-        # accept Action or None), each in sorted order, so the parser's visiting
-        # order depends on the table's contents alone
-        rows = {}
-        for key, acts in actions.items():
-            acts = sorted(acts)
-            reduces = tuple(
-                (a, len(productions[a.arg].rhs)) for a in acts if a.kind == REDUCE
+        # the parser's view of the same cells, label -> state -> (empty
+        # reduces, other reduces, shifts, accept transition or None).  A
+        # reduce is (production index, arity, lhs, transition, the lhs's
+        # gotos as state -> state) and a shift (target, transition); a
+        # transition is the cell's (state, label, Action), one tuple that
+        # every bundle and leaf taking it shares.  Each list is in sorted
+        # action order, so the parser's visiting order depends on the
+        # table's contents alone
+        goto_rows: dict = {}
+        for (state, sym), target in gotos.items():
+            goto_rows.setdefault(sym, {})[state] = target
+        rows: dict = {}
+        for (state, label), acts in actions.items():
+            empties, others, shifts, accept = [], [], [], None
+            for action in sorted(acts):
+                transition = (state, label, action)
+                if action.kind == REDUCE:
+                    prod = productions[action.arg]
+                    arity = len(prod.rhs)
+                    (others if arity else empties).append(
+                        (action.arg, arity, prod.lhs, transition,
+                         goto_rows.get(prod.lhs, {}))
+                    )
+                elif action.kind == SHIFT:
+                    shifts.append((action.arg, transition))
+                else:
+                    accept = transition
+            rows.setdefault(label, {})[state] = (
+                tuple(empties), tuple(others), tuple(shifts), accept
             )
-            shifts = tuple(a for a in acts if a.kind == SHIFT)
-            accept = next((a for a in acts if a.kind == ACCEPT), None)
-            rows[key] = (reduces, shifts, accept)
         self.rows = rows
         self._hash = ""
 

@@ -362,19 +362,19 @@ def rank_nbest(
         if (bi, ranks) in pushed[node]:
             return
         pushed[node].add((bi, ranks))
-        b = node.bundles[bi]
+        production, children, _ = node.bundles[bi]
         score = own_scores[node][bi]
-        sig = [("p", b.production)]
-        children = []
-        for child, r in zip(b.children, ranks):
+        sig = [("p", production)]
+        derivs = []
+        for child, r in zip(children, ranks):
             if r >= len(lists[child]):
                 return
             cs, csig, _, _, cd = lists[child][r]
             score += cs
             sig.append(csig)
-            children.append(cd)
+            derivs.append(cd)
         heapq.heappush(heaps[node], (-score, _Signature(tuple(sig)), bi, ranks,
-                                     (node, bi, tuple(children))))
+                                     (node, bi, tuple(derivs))))
 
     def pop(node):
         if heaps[node]:
@@ -389,15 +389,19 @@ def rank_nbest(
         _, _, best_bi, best_ranks, _ = lists[node][0]
         heaps[node] = []
         pushed[node] = {(best_bi, best_ranks)}
-        for bi, b in enumerate(node.bundles):
-            push(node, bi, (0,) * len(b.children))
+        for bi, (_, children, _) in enumerate(node.bundles):
+            push(node, bi, (0,) * len(children))
 
     # every node's best entry, children first: the bundle with the highest
     # score over its children's best entries, the smallest signature among
     # equal scores and the lowest bundle index among equal signatures, as a
-    # heap of all first candidates would pop it.  The entry is built from the
-    # score and the nested signature compared; signatures compare as plain
-    # tuples, in C, and as flat preorders past the depth that may recurse to
+    # heap of all first candidates would pop it.  One loop over a node's
+    # bundles takes each one's own log probability and score (the own log
+    # probability, then each child's best score, added in that order) and
+    # keeps the best score with the bundles that reach it; candidate
+    # signatures are built only where two or more tie.  They compare as
+    # plain tuples, in C, and as flat preorders past the depth that may
+    # recurse to
     for node in forest.nodes.values():
         if type(node) is ForestLeaf:
             score = own_scores[node] = log_prob(node.transition)
@@ -407,21 +411,33 @@ def rank_nbest(
             exhausted.add(node)
             continue
         bundles = node.bundles
-        own = own_scores[node] = [log_prob(b.transition) for b in bundles]
-        scores = []
-        for b, score in zip(bundles, own):
-            for child in b.children:
+        own = own_scores[node] = []
+        best = -math.inf
+        ties = []  # the indices of the bundles that score best so far
+        for i, (_, children, transition) in enumerate(bundles):
+            score = log_probs.get(transition)  # log_prob, inlined
+            if score is None:
+                score = log_probs[transition] = math.log(model.prob(*transition))
+            own.append(score)
+            for child in children:
                 score += lists[child][0][0]
-            scores.append(score)
-        best = max(scores)
-        tied = [((("p", bundles[i].production),
-                  *[lists[child][0][1] for child in bundles[i].children]), i)
-                for i, score in enumerate(scores) if score == best]
-        try:
-            sig, bi = min(tied)
-        except RecursionError:
-            sig, bi = min(tied, key=lambda e: _preorder(e[0]))
-        children = bundles[bi].children
+            if score > best:
+                best = score
+                ties = [i]
+            elif score == best:
+                ties.append(i)
+        if len(ties) == 1:
+            bi = ties[0]
+            production, children, _ = bundles[bi]
+            sig = (("p", production), *[lists[child][0][1] for child in children])
+        else:
+            tied = [((("p", bundles[i][0]), *[lists[child][0][1] for child in bundles[i][1]]),
+                     i) for i in ties]
+            try:
+                sig, bi = min(tied)
+            except RecursionError:
+                sig, bi = min(tied, key=lambda e: _preorder(e[0]))
+            children = bundles[bi][1]
         lists[node] = [(best, sig, bi, (0,) * len(children),
                         (node, bi, tuple([lists[child][0][4] for child in children])))]
 
@@ -453,7 +469,7 @@ def rank_nbest(
                 stack.pop()
                 continue
             _, _, bi, ranks, _ = lists[node][-1]
-            children = node.bundles[bi].children
+            children = node.bundles[bi][1]
             for child, r in zip(children, ranks):
                 if r + 1 >= len(lists[child]) and child not in exhausted:
                     stack.append((child, r + 1))
@@ -540,12 +556,12 @@ def transition_occurrences(forest: ParseForest, inside: dict) -> dict:
             t = node.transition
             occurrences[t] = occurrences.get(t, 0) + outside[node]
             continue
-        for b in node.bundles:
+        for _, children, transition in node.bundles:
             product = outside[node]
-            for c in b.children:
+            for c in children:
                 product *= inside[c]
-            occurrences[b.transition] = occurrences.get(b.transition, 0) + product
-            for c in b.children:
+            occurrences[transition] = occurrences.get(transition, 0) + product
+            for c in children:
                 outside[c] += product // inside[c]
     return occurrences
 

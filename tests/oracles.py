@@ -244,8 +244,14 @@ def _splits(arity, i, j):
     return out
 
 
-def count_derivations(backbone, residues, lattice):
-    return len(enumerate_derivations(backbone, residues, lattice))
+def count_derivations(backbone, residues, lattice, skeleton=()):
+    """How many derivations enumerate_derivations finds, less those with a
+    constituent that crosses a (start, end) bracket of skeleton."""
+    return sum(
+        not any(i < a < j < b or a < i < b < j
+                for i, j in tree_spans(tree)[0] for a, b in skeleton)
+        for tree in enumerate_derivations(backbone, residues, lattice)
+    )
 
 
 def automaton_language(table, max_len):
@@ -534,8 +540,8 @@ def children_first(root):
                 continue
             stack.append(node)
             pending = []
-            for b in node.bundles:
-                for c in b.children:
+            for _, children, _ in node.bundles:
+                for c in children:
                     assert nodes.setdefault(c.key, c) is c, c.key
                     if c.key not in order:
                         pending.append(c.key)

@@ -164,6 +164,26 @@ def test_model_hash_mismatch_detected(capsys, tmp_path):
     assert "table" in err
 
 
+@pytest.mark.parametrize("command", ["rank", "eval"])
+def test_model_table_mismatch_reported_alike(capsys, tmp_path, command):
+    model = tmp_path / "catalan.model"
+    run(capsys, "train", "--grammar", FIXTURES / "catalan.gr",
+        "--treebank", FIXTURES / "catalan_train.tb", "--model-out", model)
+    grammar = FIXTURES / "commatext.gr"
+    trained = cli.load_artifacts(FIXTURES / "catalan.gr")[3].table_hash()
+    wanted = cli.load_artifacts(grammar)[3].table_hash()
+    sent = tmp_path / "s.txt"
+    sent.write_text("w|W:1.0\n")
+    given = {"rank": [sent], "eval": ["--gold", FIXTURES / "catalan_test.tb"]}[command]
+    code, out, err = run(capsys, command, "--grammar", grammar, "--model", model, *given)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: model %s was trained against table %s, not the grammar's table %s\n"
+        % (model, trained, wanted)
+    )
+
+
 def test_stats_bucket_table(capsys, tmp_path):
     code, out, err = run(
         capsys, "stats", "--grammar", FIXTURES / "commatext.gr",

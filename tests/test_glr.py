@@ -21,7 +21,11 @@ from punclr.glr import (
     parse_lattice,
 )
 from punclr.lattice import read_tagged_file, to_lattice
-from oracles import children_first, enumerate_derivations as oracle_derivations
+from oracles import (
+    children_first,
+    count_derivations,
+    enumerate_derivations as oracle_derivations,
+)
 
 CATALAN = "%start X\nX -> X X ;\nX -> 'a' ;\n"
 
@@ -292,7 +296,8 @@ def test_bracket_tables_match_pairwise_crossing():
 def assert_bundles_distinct(forest):
     """No forest node holds two bundles with equal (production, children)."""
     for node in forest.nodes.values():
-        bundles = [(b.production, b.children) for b in getattr(node, "bundles", ())]
+        bundles = [(production, children)
+                   for production, children, _ in getattr(node, "bundles", ())]
         assert len(set(bundles)) == len(bundles), node.key
 
 
@@ -370,8 +375,8 @@ def test_forest_nodes_children_first(grammar):
         forest = parse_lattice(lattice, table, residues).forest
         seen = set()
         for key, node in forest.nodes.items():
-            for b in getattr(node, "bundles", ()):
-                assert all(c.key in seen for c in b.children)
+            for _, children, _ in getattr(node, "bundles", ()):
+                assert all(c.key in seen for c in children)
             seen.add(key)
         assert key == ROOT_KEY
         assert_walk_matches_oracle(forest)
@@ -453,15 +458,18 @@ FOREST_PINS = {
 }
 
 
+def _pinned_lattices(grammar):
+    source = FOREST_PINS[grammar][0]
+    if source.endswith(".txt"):
+        return _fixture_lattices(source)
+    if grammar == "catalan.gr":
+        return [lattice_from_labels(["a"] * n) for n in range(1, 13)]
+    return [lattice_from_labels(pair) for pair in _AGREE_PAIRS]
+
+
 @pytest.mark.parametrize("grammar", sorted(FOREST_PINS))
 def test_forest_export_pinned(grammar):
-    source, digest = FOREST_PINS[grammar]
-    if source.endswith(".txt"):
-        lattices = _fixture_lattices(source)
-    elif grammar == "catalan.gr":
-        lattices = [lattice_from_labels(["a"] * n) for n in range(1, 13)]
-    else:
-        lattices = [lattice_from_labels(pair) for pair in _AGREE_PAIRS]
+    lattices, digest = _pinned_lattices(grammar), FOREST_PINS[grammar][1]
     _, _, residues, table = compile_fixture(grammar)
     h = hashlib.sha256()
     for lattice in lattices:
@@ -472,3 +480,73 @@ def test_forest_export_pinned(grammar):
             h.update(b"%d\n" % count_parses(outcome.forest))
             h.update(export_forest(outcome.forest).encode())
     assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("grammar", sorted(FOREST_PINS))
+def test_equal_transitions_are_the_tables_one_tuple(grammar):
+    """Every bundle and leaf that takes a transition holds the tuple of the
+    table cell it came from, so equal transitions are one object."""
+    _, _, residues, table = compile_fixture(grammar)
+    cells = {}
+    for row in table.rows.values():
+        for empties, others, shifts, accept in row.values():
+            for transition in [e[3] for e in empties + others] + [s[1] for s in shifts]:
+                cells[transition] = transition
+            if accept is not None:
+                cells[accept] = accept
+    taken = 0
+    for lattice in _pinned_lattices(grammar):
+        outcome = parse_lattice(lattice, table, residues)
+        if not outcome.ok:
+            continue
+        for node in outcome.forest.nodes.values():
+            for transition in ([t for _, _, t in node.bundles] if hasattr(node, "bundles")
+                               else [node.transition]):
+                assert cells[transition] is transition
+                taken += 1
+    assert taken
+
+
+# rules of four and five daughters with a nullable E* between daughters:
+# their reduces pop paths through _pop_paths, across zero-width edges
+WIDE_RULES = (
+    "%start S\n"
+    "S -> S S ;\n"
+    "S -> 'a' ;\n"
+    "S -> 'a' E* S 'b' ;\n"
+    "S -> S E* 'c' E* S ;\n"
+    "E -> 'b' ;\n"
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_rules_match_oracles(seed):
+    """On random lattices over WIDE_RULES, with and without a random bracket
+    skeleton, the count is the chart oracle's and forest.nodes is the
+    key-based walk's."""
+    import random
+
+    rng = random.Random(seed)
+    table, backbone, residues = setup(WIDE_RULES)
+    wide = {p.index: len(p.rhs) for p in backbone.productions if len(p.rhs) >= 4}
+    arities = set()
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        cells = [rng.sample(["a", "b", "c"], rng.randint(1, 2)) for _ in range(n)]
+        lattice = SentenceLattice(tuple(
+            Token("w%d" % i, i, tuple((label, 0.5) for label in labels))
+            for i, labels in enumerate(cells)
+        ))
+        skeleton = {tuple(sorted(rng.sample(range(n + 1), 2)))
+                    for _ in range(rng.randint(1, 2))}
+        for brackets in ((), skeleton):
+            outcome = parse_lattice(lattice, table, residues, skeleton=brackets)
+            got = count_parses(outcome.forest) if outcome.ok else 0
+            assert got == count_derivations(backbone, residues, cells, brackets), (
+                cells, brackets)
+            if outcome.ok:
+                assert_walk_matches_oracle(outcome.forest)
+                arities.update(wide.get(production)
+                               for node in outcome.forest.nodes.values()
+                               for production, _, _ in getattr(node, "bundles", ()))
+    assert {4, 5} <= arities

@@ -330,3 +330,85 @@ def test_grammar_analyses_equal_sweeps_on_random_grammars():
 def test_grammar_analyses_equal_sweeps_on_long_chains():
     assert analyses_verdict(parse_grammar_file(unit_chain_grammar(1500))) is None
     assert analyses_verdict(parse_grammar_file(unit_chain_grammar(1500, cyclic=True))) == "cyclic"
+
+
+# ---------------------------------------------------------------------------
+# the parser's rows: the same cells as table.actions, precomputed
+
+def load_table(path):
+    """A table read back from the text dump_table writes."""
+    from punclr.grammar import Production
+    from punclr.lalr import Action, LalrTable, unesc
+
+    productions, actions, gotos = [], {}, {}
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline() == "punclr-table v1\n"
+        backbone_hash = fh.readline().split()[1]
+        n_states = int(fh.readline().split()[1])
+        for line in fh:
+            record, *fields = line.split()
+            if record == "prod":
+                index, lhs, rule_id, colon, *rhs = fields
+                assert colon == ":"
+                productions.append(Production(int(index), unesc(lhs),
+                                              tuple(map(unesc, rhs)), unesc(rule_id)))
+            elif record == "action":
+                state, label, kind, arg = fields
+                key = (int(state), unesc(label))
+                actions[key] = actions.get(key, frozenset()) | {Action(kind, int(arg))}
+            else:
+                state, sym, target = fields
+                gotos[(int(state), unesc(sym))] = int(target)
+    return LalrTable(backbone_hash, n_states, actions, gotos, tuple(productions))
+
+
+def assert_rows_match_actions(table):
+    """rows holds every action of table.actions once, each list in sorted
+    order, empty reduces apart from the rest, every reduce with its
+    production's arity and lhs and the lhs's gotos, and every transition the
+    cell's (state, label, Action)."""
+    cells = 0
+    for label, row in table.rows.items():
+        for state, (empties, others, shifts, accept) in row.items():
+            cells += 1
+            acts = sorted(table.actions[(state, label)])
+            reduces = [a for a in acts if a.kind == REDUCE]
+            assert [e[3][2] for e in empties] == [
+                a for a in reduces if not table.productions[a.arg].rhs]
+            assert [e[3][2] for e in others] == [
+                a for a in reduces if table.productions[a.arg].rhs]
+            for index, arity, lhs, transition, goto_row in empties + others:
+                prod = table.productions[index]
+                assert transition == (state, label, transition[2])
+                assert (index, arity, lhs) == (transition[2].arg, len(prod.rhs), prod.lhs)
+                assert goto_row == {s: t for (s, sym), t in table.gotos.items() if sym == lhs}
+            assert [t for t, _ in shifts] == [a.arg for a in acts if a.kind == SHIFT]
+            assert [tr for _, tr in shifts] == [(state, label, a) for a in acts
+                                                if a.kind == SHIFT]
+            assert [accept] == (
+                [(state, label, a) for a in acts if a.kind == ACCEPT] or [None])
+    assert cells == len(table.actions)
+
+
+def test_rows_hold_every_action_once_on_fixture_tables(tmp_path):
+    from punclr.lalr import dump_table
+
+    for path in sorted(FIXTURES.glob("*.gr")):
+        _, _, _, table = compile_fixture(path.name)
+        assert_rows_match_actions(table)
+        dump_table(table, tmp_path / "table.txt")
+        loaded = load_table(tmp_path / "table.txt")
+        assert loaded.actions == table.actions and loaded.gotos == table.gotos
+        assert loaded.table_hash() == table.table_hash()
+        assert_rows_match_actions(loaded)
+        assert loaded.rows == table.rows, path.name
+
+
+def test_rows_on_random_grammars():
+    rng = random.Random(11)
+    for _ in range(100):
+        try:
+            table, _, _ = table_for(random_grammar_text(rng))
+        except GrammarError:
+            continue
+        assert_rows_match_actions(table)
