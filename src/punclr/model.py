@@ -399,9 +399,9 @@ def rank_nbest(
     # bundles takes each one's own log probability and score (the own log
     # probability, then each child's best score, added in that order) and
     # keeps the best score with the bundles that reach it; candidate
-    # signatures are built only where two or more tie.  They compare as
-    # plain tuples, in C, and as flat preorders past the depth that may
-    # recurse to
+    # signatures are built only for those.  Where two or more tie, the
+    # signatures compare as plain tuples, in C, or as flat preorders when
+    # that comparison would recurse too deep
     for node in forest.nodes.values():
         if type(node) is ForestLeaf:
             score = own_scores[node] = log_prob(node.transition)
@@ -415,9 +415,7 @@ def rank_nbest(
         best = -math.inf
         ties = []  # the indices of the bundles that score best so far
         for i, (_, children, transition) in enumerate(bundles):
-            score = log_probs.get(transition)  # log_prob, inlined
-            if score is None:
-                score = log_probs[transition] = math.log(model.prob(*transition))
+            score = log_prob(transition)
             own.append(score)
             for child in children:
                 score += lists[child][0][0]
@@ -426,18 +424,16 @@ def rank_nbest(
                 ties = [i]
             elif score == best:
                 ties.append(i)
-        if len(ties) == 1:
-            bi = ties[0]
-            production, children, _ = bundles[bi]
-            sig = (("p", production), *[lists[child][0][1] for child in children])
+        tied = [((("p", bundles[i][0]), *[lists[child][0][1] for child in bundles[i][1]]), i)
+                for i in ties]
+        if len(tied) == 1:
+            sig, bi = tied[0]
         else:
-            tied = [((("p", bundles[i][0]), *[lists[child][0][1] for child in bundles[i][1]]),
-                     i) for i in ties]
             try:
                 sig, bi = min(tied)
             except RecursionError:
                 sig, bi = min(tied, key=lambda e: _preorder(e[0]))
-            children = bundles[bi][1]
+        children = bundles[bi][1]
         lists[node] = [(best, sig, bi, (0,) * len(children),
                         (node, bi, tuple([lists[child][0][4] for child in children])))]
 

@@ -335,33 +335,6 @@ def test_grammar_analyses_equal_sweeps_on_long_chains():
 # ---------------------------------------------------------------------------
 # the parser's rows: the same cells as table.actions, precomputed
 
-def load_table(path):
-    """A table read back from the text dump_table writes."""
-    from punclr.grammar import Production
-    from punclr.lalr import Action, LalrTable, unesc
-
-    productions, actions, gotos = [], {}, {}
-    with open(path, encoding="utf-8") as fh:
-        assert fh.readline() == "punclr-table v1\n"
-        backbone_hash = fh.readline().split()[1]
-        n_states = int(fh.readline().split()[1])
-        for line in fh:
-            record, *fields = line.split()
-            if record == "prod":
-                index, lhs, rule_id, colon, *rhs = fields
-                assert colon == ":"
-                productions.append(Production(int(index), unesc(lhs),
-                                              tuple(map(unesc, rhs)), unesc(rule_id)))
-            elif record == "action":
-                state, label, kind, arg = fields
-                key = (int(state), unesc(label))
-                actions[key] = actions.get(key, frozenset()) | {Action(kind, int(arg))}
-            else:
-                state, sym, target = fields
-                gotos[(int(state), unesc(sym))] = int(target)
-    return LalrTable(backbone_hash, n_states, actions, gotos, tuple(productions))
-
-
 def assert_rows_match_actions(table):
     """rows holds every action of table.actions once, each list in sorted
     order, empty reduces apart from the rest, every reduce with its
@@ -390,18 +363,10 @@ def assert_rows_match_actions(table):
     assert cells == len(table.actions)
 
 
-def test_rows_hold_every_action_once_on_fixture_tables(tmp_path):
-    from punclr.lalr import dump_table
-
+def test_rows_hold_every_action_once_on_fixture_tables():
     for path in sorted(FIXTURES.glob("*.gr")):
         _, _, _, table = compile_fixture(path.name)
         assert_rows_match_actions(table)
-        dump_table(table, tmp_path / "table.txt")
-        loaded = load_table(tmp_path / "table.txt")
-        assert loaded.actions == table.actions and loaded.gotos == table.gotos
-        assert loaded.table_hash() == table.table_hash()
-        assert_rows_match_actions(loaded)
-        assert loaded.rows == table.rows, path.name
 
 
 def test_rows_on_random_grammars():
