@@ -13,21 +13,23 @@ grammar of 4- and 5-daughter rules with nullable daughters between them,
 with five sentences of it) and the working tree's fixtures, so only the
 code differs.  A fixed list of default-format invocations runs in each
 tree: compile (of the malformed grammars too, so the reader's error
-messages are compared), parse --dump-forest, stats, rank (--nbest 1 and 10, --tag-likelihoods), train,
-eval, eval --parsed and ablate; rank also in tsv, whose %r log-probs show
-every bit, on the 2000-token chain (deep trees), and with --nbest 50 on
-the seed-5 catalan sentences, whose scores tie often.  Those sentences
-are also ranked (tsv --nbest 10 and --nbest 50) with a model each tree
-trains from the seed-5 catalan rank treebank, since the benchmark's own
-rank models are trained once, by gen.py, with the working tree's code.
-Each runs as `python -m punclr.cli` in a directory of its own, without
-writing bytecode: once in the base tree under PYTHONHASHSEED=1, and twice
-in the working tree, under PYTHONHASHSEED=1 and 2, so output that follows
-string hashing shows as a difference too.  The script compares the runs' stdout,
-their stderr (each tree's and each output directory's path replaced by a
-placeholder), their exit codes and every file they wrote, prints one line
-per invocation, and exits 1 when any of them differs, naming each that
-does.
+messages are compared), parse --dump-forest and stats (each also with
+--jobs 2, through the process pool), rank (--nbest 1 and 10,
+--tag-likelihoods), train, eval, eval --parsed and ablate; rank also in
+tsv, whose %r log-probs show every bit, on the 2000-token chain (deep
+trees), and with --nbest 50 on the seed-5 catalan sentences, whose scores
+tie often.  Those sentences are also ranked (tsv --nbest 10 and --nbest
+50) with a model each tree trains from the seed-5 catalan rank treebank,
+since the benchmark's own rank models are trained once, by gen.py, with the
+working tree's code.  Each runs as `python -m punclr.cli` in a directory of
+its own, without writing bytecode and with PYTHONUNBUFFERED unset, so that
+stdout is block-buffered and flushed when the process ends: once in the
+base tree under PYTHONHASHSEED=1, and twice in the working tree, under
+PYTHONHASHSEED=1 and 2, so output that follows string hashing shows as a
+difference too.  The script compares the runs' stdout, their stderr (each
+tree's and each output directory's path replaced by a placeholder), their
+exit codes and every file they wrote, prints one line per invocation, and
+exits 1 when any of them differs, naming each that does.
 
 Standard library only.
 """
@@ -118,6 +120,9 @@ def invocations(gen: Path) -> list:
         grammar = ["--grammar", g, *extra, path]
         out.append(("parse " + name, ["parse", *grammar, "--dump-forest", "forests"]))
         out.append(("stats " + name, ["stats", *grammar]))
+        out.append(("parse --jobs 2 " + name,
+                    ["parse", *grammar, "--jobs", "2", "--dump-forest", "forests"]))
+        out.append(("stats --jobs 2 " + name, ["stats", *grammar, "--jobs", "2"]))
     for name, tb in (("fixture catalan", FIX / "catalan_train.tb"),
                      ("fixture tagseq", FIX / "tagseq_gold.tb"),
                      ("seed-5", te / "train.tb"),
@@ -186,6 +191,7 @@ def run(tree: Path, outdir: Path, name: str, argv, hash_seed: str) -> dict:
     cwd.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
                PYTHONHASHSEED=hash_seed)
+    env.pop("PYTHONUNBUFFERED", None)  # so stdout is block-buffered, as by default
     proc = subprocess.run([sys.executable, "-m", "punclr.cli", *map(str, argv)], cwd=cwd,
                           env=env, capture_output=True)
     stderr = proc.stderr.replace(str(tree).encode(), b"<tree>")

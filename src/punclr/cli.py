@@ -7,13 +7,19 @@ timings are printed only on request since they never are.  Exit codes:
 
 Modules that only some subcommands run (model, evalmetrics, trees,
 fractions) are imported inside the functions that run them, so each process
-loads only what its subcommand runs.
+loads only what its subcommand runs.  hashlib, which loads OpenSSL, is
+imported only where a table or backbone hash is first computed, and parse
+and stats compute none.  A `python -m punclr.cli` process ends through
+run(), which flushes its output and calls os._exit: every file is closed by
+then, and CPython's finalization, which frees each object one by one, would
+cost several milliseconds per process and change nothing that is written.
 """
 from __future__ import annotations
 
 import argparse
 import gc
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -134,7 +140,7 @@ def cmd_compile(args):
         ("backbone productions", len(backbone.productions)),
         ("lalr states", table.n_states),
         ("table actions", table.action_count),
-        ("backbone hash", backbone.content_hash()),
+        ("backbone hash", table.backbone_hash),
         ("table hash", table.table_hash()),
     ]
     if args.format == "tsv":
@@ -642,5 +648,23 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run():
+    """Run main as the whole process, then end it without interpreter
+    teardown: flush stdout and stderr and call os._exit, as multiprocessing's
+    fork children do.  A stdout that fails at that flush (a reader that has
+    gone) is reported like any other write error, with exit code 2."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        code = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

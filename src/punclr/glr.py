@@ -157,11 +157,15 @@ class ParseForest(NamedTuple):
     nodes: dict
     n_tokens: int
     start_symbol: str
-    table_hash: str = ""
+    table: LalrTable
 
     @property
     def root(self) -> ForestNode:
         return self.nodes[ROOT_KEY]
+
+    @property
+    def table_hash(self) -> str:
+        return self.table.table_hash()
 
 
 class ParseOutcome(NamedTuple):
@@ -389,7 +393,7 @@ def parse_lattice(
         return fail("no analysis spans the sentence")
 
     root = ForestNode(ROOT_KEY, "$root", 0, n, (), root_bundles)
-    forest = ParseForest(_children_first(root), n, start_symbol, table.table_hash())
+    forest = ParseForest(_children_first(root), n, start_symbol, table)
     return ParseOutcome("ok", forest, "", time.process_time() - t0, n)
 
 

@@ -11,7 +11,6 @@ recursive-descent reader (parse_grammar_file; the README gives the format).
 from __future__ import annotations
 
 import bisect
-import hashlib
 import itertools
 import re
 from typing import Mapping, NamedTuple, Optional
@@ -139,6 +138,10 @@ class CFBackbone(NamedTuple):
         return {p.lhs for p in self.productions}
 
     def content_hash(self) -> str:
+        # imported here: hashlib loads OpenSSL (about 2 ms and 3.7 MB), and
+        # only the commands that print or store a hash need it
+        import hashlib
+
         lines = ["punclr-backbone v1", "start " + self.start]
         lines += ["terminal " + t for t in sorted(self.terminals)]
         lines += [

@@ -10,7 +10,6 @@ conflict is data, not an error.
 """
 from __future__ import annotations
 
-import hashlib
 from typing import NamedTuple
 
 from .grammar import END_MARKER, CFBackbone, GrammarError, Production, nullable_symbols
@@ -36,12 +35,12 @@ class LalrTable:
     """The LALR(1) table: per (state, label) action sets, gotos and the
     productions that reduce actions index."""
 
-    __slots__ = ("backbone_hash", "n_states", "actions", "gotos", "productions",
-                 "start_state", "rows", "_hash")
+    __slots__ = ("backbone", "n_states", "actions", "gotos", "productions",
+                 "start_state", "rows", "_backbone_hash", "_hash")
 
-    def __init__(self, backbone_hash: str, n_states: int, actions: dict, gotos: dict,
+    def __init__(self, backbone: CFBackbone, n_states: int, actions: dict, gotos: dict,
                  productions: tuple, start_state: int = 0):
-        self.backbone_hash = backbone_hash
+        self.backbone = backbone
         self.n_states = n_states
         self.actions = actions  # (state, label) -> frozenset[Action]
         self.gotos = gotos  # (state, nonterminal) -> state
@@ -78,14 +77,24 @@ class LalrTable:
                 tuple(empties), tuple(others), tuple(shifts), accept
             )
         self.rows = rows
-        self._hash = ""
+        # both hashes are computed on first use, so that parse and stats,
+        # which print and check none, never load hashlib
+        self._backbone_hash = self._hash = ""
 
     @property
     def action_count(self) -> int:
         return sum(len(v) for v in self.actions.values())
 
+    @property
+    def backbone_hash(self) -> str:
+        if not self._backbone_hash:
+            self._backbone_hash = self.backbone.content_hash()
+        return self._backbone_hash
+
     def table_hash(self) -> str:
         if not self._hash:
+            import hashlib
+
             text = "punclr-lalr v1 %s states=%d actions=%d" % (
                 self.backbone_hash,
                 self.n_states,
@@ -218,7 +227,7 @@ def build_lalr(backbone: CFBackbone) -> LalrTable:
                 actions.setdefault((state, la), set()).add(action)
 
     return LalrTable(
-        backbone_hash=backbone.content_hash(),
+        backbone=backbone,
         n_states=len(kernels),
         actions={key: frozenset(acts) for key, acts in actions.items()},
         gotos=gotos,

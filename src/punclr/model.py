@@ -331,7 +331,7 @@ def rank_nbest(
     t0 = time.process_time()
     if n < 1:
         raise ValueError("n must be positive")
-    if model.table_hash and forest.table_hash and model.table_hash != forest.table_hash:
+    if model.table_hash and model.table_hash != forest.table_hash:
         raise ModelError(
             "model trained against table %s but forest built with %s"
             % (model.table_hash, forest.table_hash)

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import itertools
@@ -238,6 +239,91 @@ def test_console_entry_point():
     assert "lalr states" in proc.stdout
 
 
+def _process_env(unbuffered=False):
+    """The environment of a `python -m punclr.cli` process of this tree,
+    whose stdout is block-buffered unless unbuffered."""
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _outputs(cwd, code, out, err):
+    """What a command left: exit code, stdout, stderr and every file written
+    under cwd (relative path -> bytes)."""
+    files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*"))
+             if p.is_file()}
+    return code, out, err, files
+
+
+# name -> (argv, exit code); "SENTENCES", "STRICT" and "BAD" name files the
+# test writes, and every output path is relative to the working directory
+PROCESS_CASES = {
+    "compile -o": (["compile", FIXTURES / "catalan.gr", "-o", "table.txt"], 0),
+    "train": (["train", "--grammar", FIXTURES / "catalan.gr", "--treebank",
+               FIXTURES / "catalan_train.tb", "--model-out", "model", "--counts-out",
+               "counts"], 0),
+    "parse --jobs 1": (["parse", "--grammar", FIXTURES / "catalan.gr", "SENTENCES",
+                        "--jobs", "1", "--dump-forest", "forests"], 0),
+    "parse --jobs 2": (["parse", "--grammar", FIXTURES / "catalan.gr", "SENTENCES",
+                        "--jobs", "2", "--dump-forest", "forests"], 0),
+    "usage error": (["parse", "--grammar", FIXTURES / "catalan.gr"], 1),
+    "bad grammar": (["compile", "BAD"], 2),
+    "strict": (["parse", "--grammar", FIXTURES / "commatext.gr", "STRICT", "--strict"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROCESS_CASES))
+def test_process_writes_what_main_writes(capsys, tmp_path, monkeypatch, case):
+    """A `python -m punclr.cli` process, which ends in os._exit, prints,
+    writes and exits as cli.main does in process."""
+    inputs = {
+        "SENTENCES": "a|a:1.0 a|a:1.0 a|a:1.0\nb|b:1.0\n" + "a|a:1.0 " * 6 + "\n",
+        "STRICT": "w|W:1.0 ,|,:1.0\n",  # a dangling comma
+        "BAD": "%start S\nS -> 'a'\n",  # a missing semicolon
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    argv, expected_code = PROCESS_CASES[case]
+    argv = [str(tmp_path / a) if a in inputs else str(a) for a in argv]
+    in_process, process = tmp_path / "in-process", tmp_path / "process"
+    in_process.mkdir()
+    process.mkdir()
+
+    monkeypatch.chdir(in_process)
+    code = main(argv)
+    captured = capsys.readouterr()
+    want = _outputs(in_process, code, captured.out, captured.err)
+    proc = subprocess.run([sys.executable, "-m", "punclr.cli", *argv], cwd=process,
+                          capture_output=True, text=True, env=_process_env())
+    got = _outputs(process, proc.returncode, proc.stdout, proc.stderr)
+    assert got == want
+    assert code == expected_code
+    if code == 0:
+        assert want[3] and len(want[1].splitlines()) > 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_2_without_traceback(unbuffered):
+    """A reader gone before the process starts: buffered output fails at the
+    final flush, unbuffered at the first print, and both are reported as
+    one error line with exit code 2."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "punclr.cli", "compile", str(FIXTURES / "catalan.gr")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_process_env(unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: %s\n" % BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
 def test_parse_dump_forest_writes_files(capsys, tmp_path):
     out_dir = tmp_path / "forests"
     code, out, err = run(
@@ -275,12 +361,10 @@ def test_parse_output_independent_of_hash_seed(tmp_path):
     grammar = tmp_path / "two.gr"
     grammar.write_text(TWO_REDUCES)
     sent = _tagged(tmp_path, "a|a:1.0 a|a:1.0 a|a:1.0\n")
-    src = str(FIXTURES.parent / "src")
     digests = set()
     for seed in range(1, 17):
         out_dir = tmp_path / ("seed%d" % seed)
-        env = dict(os.environ, PYTHONHASHSEED=str(seed),
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = dict(_process_env(), PYTHONHASHSEED=str(seed))
         proc = subprocess.run(
             [sys.executable, "-m", "punclr.cli", "parse", "--grammar", str(grammar),
              "--dump-forest", str(out_dir), str(sent)],
@@ -300,14 +384,12 @@ CYCLIC = {"two": "%start X\nX -> Y ;\nY -> X ;\nX -> 'a' ;\n",
 
 
 def test_cycle_error_independent_of_hash_seed(tmp_path):
-    src = str(FIXTURES.parent / "src")
     for name, text in CYCLIC.items():
         grammar = tmp_path / (name + ".gr")
         grammar.write_text(text)
         errors = set()
         for seed in range(1, 9):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed),
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env = dict(_process_env(), PYTHONHASHSEED=str(seed))
             proc = subprocess.run([sys.executable, "-m", "punclr.cli", "compile", str(grammar)],
                                   capture_output=True, env=env)
             assert proc.returncode == 2, proc.stderr
@@ -665,11 +747,12 @@ def test_out_of_range_option_is_usage_error(capsys, tmp_path, command, option, v
 
 
 def test_importing_the_cli_leaves_the_process_pool_out(tmp_path):
-    """Importing the CLI loads no process pool; compile, parse and stats
-    load no model, evaluation or treebank code they do not run; and no
-    command loads dataclasses or the inspect module it imports."""
-    src = str(FIXTURES.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    """Importing the CLI loads no process pool; parse, stats and compile
+    load no model, evaluation or treebank code they do not run; parse and
+    stats, which compute no hash, leave OpenSSL's _hashlib out, and compile,
+    which prints one, loads it; and no command loads dataclasses or the
+    inspect module it imports.  The process runs under -S, so that site
+    imports none of these first."""
     script = """
 import contextlib, io, sys
 from punclr import cli
@@ -681,14 +764,15 @@ grammar, sentences, dump, treebank, gold, model = sys.argv[1:]
 pool = {"concurrent.futures", "multiprocessing"}
 unused = {"punclr.model", "punclr.trees", "fractions"}
 heavy = {"dataclasses", "inspect"}
-loaded(pool | heavy)
+loaded(pool | heavy | {"_hashlib"})
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["compile", grammar]) == 0
-    loaded(heavy)
     assert cli.main(["parse", "--grammar", grammar, "--dump-forest", dump, sentences]) == 0
-    loaded(pool | unused | heavy | {"punclr.evalmetrics"})
+    loaded(pool | unused | heavy | {"punclr.evalmetrics", "_hashlib"})
     assert cli.main(["stats", "--grammar", grammar, sentences]) == 0
+    loaded(pool | heavy | {"_hashlib"} | unused - {"punclr.trees"})
+    assert cli.main(["compile", grammar]) == 0
     loaded(pool | heavy | unused - {"punclr.trees"})
+    assert "_hashlib" in sys.modules
     assert cli.main(["train", "--grammar", grammar, "--treebank", treebank,
                      "--model-out", model]) == 0
     loaded(pool | heavy)
@@ -700,10 +784,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
     sentences = _tagged(tmp_path, "a|a:1.0 a|a:1.0 a|a:1.0\n")
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(FIXTURES / "catalan.gr"), str(sentences),
+        [sys.executable, "-S", "-c", script, str(FIXTURES / "catalan.gr"), str(sentences),
          str(tmp_path / "forests"), str(FIXTURES / "catalan_train.tb"),
          str(FIXTURES / "catalan_test.tb"), str(tmp_path / "model.txt")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_process_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == ["[]"] * 7
