@@ -16,9 +16,10 @@ tree: compile (of the malformed grammars too, so the reader's error
 messages are compared), parse --dump-forest and stats (each also with
 --jobs 2, through the process pool), rank (--nbest 1 and 10,
 --tag-likelihoods), train, eval, eval --parsed and ablate; rank also in
-tsv, whose %r log-probs show every bit, on the 2000-token chain (deep
-trees), and with --nbest 50 on the seed-5 catalan sentences, whose scores
-tie often.  Those sentences are also ranked (tsv --nbest 10 and --nbest
+tsv, whose %r log-probs show every bit, with and without --tag-likelihoods
+(whose leaf sums nest subtree by subtree), also on the 2000-token chain
+(deep trees), and with --nbest 50 on the seed-5 catalan sentences, whose
+scores tie often.  Those sentences are also ranked (tsv --nbest 10 and --nbest
 50) with a model each tree trains from the seed-5 catalan rank treebank,
 since the benchmark's own rank models are trained once, by gen.py, with the
 working tree's code.  Each runs as `python -m punclr.cli` in a directory of
@@ -150,9 +151,13 @@ def invocations(gen: Path) -> list:
                     [*base, "--nbest", "10", "--tag-likelihoods"]))
         out.append(("rank --nbest 10 --format tsv " + name,
                     [*base, "--nbest", "10", "--format", "tsv"]))
-    out.append(("rank --nbest 10 --format tsv %d-token chain" % DEEP_TOKENS,
-                ["rank", "--grammar", gen / "deep.gr", "--model", "../train chain/model",
-                 gen / "deep.txt", "--nbest", "10", "--format", "tsv"]))
+        out.append(("rank --nbest 10 --tag-likelihoods --format tsv " + name,
+                    [*base, "--nbest", "10", "--tag-likelihoods", "--format", "tsv"]))
+    deep = ["rank", "--grammar", gen / "deep.gr", "--model", "../train chain/model",
+            gen / "deep.txt", "--nbest", "10", "--format", "tsv"]
+    out.append(("rank --nbest 10 --format tsv %d-token chain" % DEEP_TOKENS, deep))
+    out.append(("rank --nbest 10 --tag-likelihoods --format tsv %d-token chain"
+                % DEEP_TOKENS, [*deep, "--tag-likelihoods"]))
     out.append(("rank --nbest 50 seed-5 catalan",
                 ["rank", "--grammar", FIX / "catalan.gr", "--model", rn / "catalan.model",
                  rn / "catalan.txt", "--nbest", "50"]))

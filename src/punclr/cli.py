@@ -352,19 +352,9 @@ def cmd_rank(args):
 
 
 def _with_words(tree, words):
-    """tree with each leaf's word taken from words; derivation_to_tree
-    already puts the lattice words there (perfbench/tracing.py calls this)."""
-    from .glr import Tree
-
-    if tree.is_leaf():
-        return Tree(tree.label, (), tree.start, tree.end, words[tree.start])
-    return Tree(
-        tree.label,
-        tuple(_with_words(c, words) for c in tree.children),
-        tree.start,
-        tree.end,
-        tree.word,
-    )
+    """tree itself: derivation_to_tree already puts each lattice word on its
+    leaf (perfbench/tracing.py calls this)."""
+    return tree
 
 
 def select_analysis(forest, model, rng=None, budget=None):

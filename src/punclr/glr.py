@@ -74,6 +74,8 @@ class SentenceLattice:
                 raise ValueError("token positions must be consecutive from 0")
             if not tok.labels:
                 raise ValueError("token %r has no label hypotheses" % tok.word)
+            if len({label for label, _ in tok.labels}) < len(tok.labels):
+                raise ValueError("token %r lists a label twice" % tok.word)
             for label, lik in tok.labels:
                 if not 0 < lik <= 1:
                     raise ValueError(
@@ -264,7 +266,6 @@ def parse_lattice(
             word = ""
         crossed = last_open[j]
         next_frontier: dict = {}
-        by_label: dict = {}
         for label, likelihood in label_items:
             row = rows.get(label, {})  # state -> the table's cell
             local: dict = {}
@@ -273,9 +274,9 @@ def parse_lattice(
             # signature) when the signature is not empty; leaves: its
             # leaves, keyed by the state shifted from.  j and label are
             # fixed, and the node beneath fixes start, serial and state, so
-            # these keys pick a node as its full key does.  A label listed
-            # twice shares them, as it shares full keys.
-            nodes, leaves = by_label.setdefault(label, ({}, {}))
+            # these keys pick a node as its full key does
+            nodes: dict = {}
+            leaves: dict = {}
             # a task is (GSS node, reduce entry, edge): the node's empty
             # reduces go with no edge, the others once per edge, as the
             # first step of their paths
@@ -548,46 +549,25 @@ def nth_derivation(forest: ParseForest, index: int):
     return built[0][0]
 
 
-def walk_derivation(deriv):
-    """Iterative enter/leave traversal of a derivation: yields (True, d) on
-    entering and (False, d) on leaving every subderivation d, children left
-    to right, so no walk is bounded by the interpreter's recursion limit."""
-    stack = [(False, deriv), (True, deriv)]
-    while stack:
-        entering, d = stack.pop()
-        yield entering, d
-        if entering:
-            for child in reversed(d[2]):
-                stack.append((False, child))
-                stack.append((True, child))
+def derivation_postorder(deriv) -> list:
+    """Every subderivation of deriv, each after its children, children left
+    to right: the reverse of a preorder that visits children right to left,
+    on an explicit stack, so no walk is bounded by the recursion limit."""
+    out = []
+    todo = [deriv]
+    while todo:
+        d = todo.pop()
+        out.append(d)
+        todo.extend(d[2])
+    out.reverse()
+    return out
 
 
 def derivation_transitions(deriv):
     """The LR run of one derivation: post-order over the tree gives the
-    exact (state, lookahead, action) sequence the parser traversed.  Serves
-    extract_histories and the tests; rank_nbest sums its cached scores in
-    the same order."""
-    out = []
-    for entering, (node, bi, _) in walk_derivation(deriv):
-        if not entering:
-            if bi is None:
-                out.append(node.transition)
-            else:
-                out.append(node.bundles[bi][2])
-    return out
-
-
-def derivation_signature(deriv):
-    """Preorder sequence of production ids and leaf labels; unique per
-    derivation and totally ordered, used for deterministic tie-breaking."""
-    out = []
-    for entering, (node, bi, _) in walk_derivation(deriv):
-        if entering:
-            if bi is None:
-                out.append(("t", node.label))
-            else:
-                out.append(("p", node.bundles[bi][0]))
-    return tuple(out)
+    exact (state, lookahead, action) sequence the parser traversed."""
+    return [node.transition if bi is None else node.bundles[bi][2]
+            for node, bi, _ in derivation_postorder(deriv)]
 
 
 class Tree(NamedTuple):

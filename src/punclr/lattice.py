@@ -28,7 +28,11 @@ class TaggedToken:
     def __init__(self, word: str, hypotheses: tuple):
         if not hypotheses:
             raise TaggedInputError("token %r has no label hypotheses" % word)
+        seen = set()
         for label, lik in hypotheses:
+            if label in seen:
+                raise TaggedInputError("token %r lists label %s twice" % (word, label))
+            seen.add(label)
             if not 0 < lik <= 1:
                 raise TaggedInputError(
                     "likelihood %r of %s|%s outside (0, 1]" % (lik, word, label)

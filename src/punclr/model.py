@@ -22,10 +22,10 @@ from .glr import (
     CLOCK_EVERY,
     ForestLeaf,
     ParseForest,
+    derivation_postorder,
     derivation_to_tree,
     derivation_transitions,
     enumerate_derivations,
-    walk_derivation,
 )
 from .lalr import (Action, FieldError, LalrTable, ModelError, action_kind, esc,
                    read_records, unesc)
@@ -229,12 +229,6 @@ def smooth_good_turing(counts: TransitionCounts, table: LalrTable) -> ProbModel:
 # ---------------------------------------------------------------------------
 # scoring and n-best extraction
 
-def score_derivation(transitions, model: ProbModel) -> float:
-    """Sum of log transition probabilities along one parse history: the
-    canonical score rank_nbest's rescoring is tested against."""
-    return sum(math.log(model.prob(s, l, a)) for s, l, a in transitions)
-
-
 class RankedAnalysis(NamedTuple):
     tree: object
     log_prob: float
@@ -288,8 +282,8 @@ class _Signature:
 
 
 def _preorder(nested) -> tuple:
-    """The flat preorder of a nested signature, as derivation_signature
-    gives it, without recursion."""
+    """The flat preorder of a nested signature, each node's head before its
+    children's preorders left to right, without recursion."""
     out = []
     todo = [nested]
     while todo:
@@ -481,19 +475,13 @@ def rank_nbest(
         score, sig, _, _, deriv = root[wanted]
         if len(top_n) == n and score * shrink < top_n[0]:
             break  # no later root entry can place
-        # the canonical score: the log probabilities in post-order, summed
-        # as score_derivation(derivation_transitions(...)) sums them, read
-        # as the reverse of a preorder that pushes children left to right
-        logs = []
-        todo = [deriv]
-        while todo:
-            node, bi, children = todo.pop()
-            logs.append(own_scores[node] if bi is None else own_scores[node][bi])
-            todo.extend(children)
-        logs.reverse()
-        canonical = sum(logs)
+        # the canonical score: the log probabilities of
+        # derivation_transitions(deriv), summed in that order
+        order = derivation_postorder(deriv)
+        canonical = sum([own_scores[node] if bi is None else own_scores[node][bi]
+                         for node, bi, _ in order])
         if include_tag_likelihoods:
-            canonical += _leaf_likelihood_sum(deriv)
+            canonical += _leaf_likelihood_sum(order)
         rescored.append((canonical, _Signature(sig), deriv))
         if len(top_n) < n:
             heapq.heappush(top_n, canonical)
@@ -508,19 +496,19 @@ def rank_nbest(
     ]
 
 
-def _leaf_likelihood_sum(deriv) -> float:
-    """Sum of the log tag likelihoods on a derivation's leaves, each
-    subtree's sum added to its parent's."""
-    sums = [0]
-    for entering, (node, bi, _) in walk_derivation(deriv):
+def _leaf_likelihood_sum(order) -> float:
+    """Sum of the log tag likelihoods on the leaves of a derivation, given
+    as derivation_postorder lists it: each subtree's sum is its children's,
+    added left to right, on a stack of the sums not yet taken by a parent."""
+    sums = []
+    for node, bi, children in order:
         if bi is None:
-            if not entering:
-                sums[-1] += math.log(node.likelihood)
-        elif entering:
-            sums.append(0)
+            sums.append(math.log(node.likelihood))
         else:
-            subtree = sums.pop()
-            sums[-1] += subtree
+            cut = len(sums) - len(children)
+            subtree = sum(sums[cut:])
+            del sums[cut:]
+            sums.append(subtree)
     return sums[0]
 
 

@@ -8,6 +8,7 @@ can stand as a second route for the properties the suite checks.
 from __future__ import annotations
 
 import itertools
+import math
 
 from punclr.grammar import (
     ONE,
@@ -517,6 +518,40 @@ def flat_signature(nested):
         out.append(node[0])
         todo.extend(node[:0:-1])
     return tuple(out)
+
+
+def derivation_signature(deriv):
+    """The preorder of production ids and leaf labels of a glr derivation,
+    nested as (node, bundle index, children) with bundle index None on a
+    leaf: unique per derivation and totally ordered, the order rank_nbest
+    breaks ties in.  Iterative, so derivations nested past the recursion
+    limit give one too."""
+    out = []
+    todo = [deriv]
+    while todo:
+        node, bi, children = todo.pop()
+        out.append(("t", node.label) if bi is None else ("p", node.bundles[bi][0]))
+        todo.extend(reversed(children))
+    return tuple(out)
+
+
+def score_derivation(transitions, model):
+    """Sum of log transition probabilities along one parse history, in
+    sequence: the canonical score rank_nbest's rescoring is tested against."""
+    return sum(math.log(model.prob(s, l, a)) for s, l, a in transitions)
+
+
+def leaf_likelihood_sum(deriv):
+    """Sum of the log tag likelihoods on a glr derivation's leaves, by
+    recursion: a leaf's log likelihood, or a node's children's sums added
+    left to right to 0."""
+    node, bi, children = deriv
+    if bi is None:
+        return math.log(node.likelihood)
+    total = 0
+    for child in children:
+        total += leaf_likelihood_sum(child)
+    return total
 
 
 def children_first(root):

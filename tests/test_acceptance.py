@@ -21,7 +21,6 @@ from punclr.evalmetrics import (
 )
 from punclr.glr import (
     count_parses,
-    derivation_signature,
     derivation_transitions,
     enumerate_derivations,
     lattice_from_labels,
@@ -31,7 +30,6 @@ from punclr.lattice import TaggedToken, threshold_labels
 from punclr.model import (
     good_turing_adjusted_count,
     rank_nbest,
-    score_derivation,
     smooth_good_turing,
     train_counts,
 )
@@ -40,9 +38,11 @@ from punclr.trees import read_treebank, tree_leaves
 from conftest import FIXTURES, compile_fixture
 from oracles import (
     automaton_language,
+    derivation_signature,
     enumerate_derivations as oracle_derivations,
     flat_signature,
     language_of_backbone,
+    score_derivation,
     tree_spans,
 )
 

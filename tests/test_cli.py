@@ -54,6 +54,24 @@ def test_parse_counts_comma_series(capsys):
     assert counts == [1, 1, 3, 8, 25, 80, 267, 911, 3170]
 
 
+@pytest.mark.parametrize("command", ["parse", "rank"])
+def test_label_listed_twice_is_a_data_error(capsys, tmp_path, command):
+    """A token that lists a label twice is rejected with its line, exit 2;
+    parsed, it used to double every analysis through that label."""
+    text = tmp_path / "dup.txt"
+    text.write_text("a|a:1.0 a|a:1.0\na|a:0.5|a:0.3 a|a:1.0 a|a:1.0\n")
+    given = []
+    if command == "rank":
+        given = ["--model", tmp_path / "model"]
+        run(capsys, "train", "--grammar", FIXTURES / "catalan.gr",
+            "--treebank", FIXTURES / "catalan_train.tb", "--model-out", given[1])
+    code, out, err = run(capsys, command, "--grammar", FIXTURES / "catalan.gr",
+                         *given, text)
+    assert code == 2
+    assert err == "error: line 2: token 'a' lists label a twice\n"
+    assert out == ""
+
+
 def test_parse_strict_fails_on_unparseable(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("w|W:1.0 ,|,:1.0\n")  # dangling comma

@@ -12,7 +12,6 @@ from punclr.glr import (
     Token,
     constrained_parse,
     count_parses,
-    derivation_signature,
     derivation_to_tree,
     derivation_transitions,
     enumerate_derivations,
@@ -24,6 +23,7 @@ from punclr.lattice import read_tagged_file, to_lattice
 from oracles import (
     children_first,
     count_derivations,
+    derivation_signature,
     enumerate_derivations as oracle_derivations,
 )
 
@@ -178,6 +178,12 @@ def test_multi_label_lattice_counts():
     assert outcome.ok
     oracle = oracle_derivations(backbone, residues, [["nn", "vv"], ["nn", "vv"]])
     assert count_parses(outcome.forest) == len(oracle) == 2
+
+
+def test_lattice_rejects_a_label_listed_twice():
+    # parsed, the repeated label's closure would add every bundle twice
+    with pytest.raises(ValueError, match="lists a label twice"):
+        SentenceLattice((Token("w0", 0, (("a", 0.5), ("a", 0.3))),))
 
 
 def test_multi_label_lattice_matches_oracle_ambiguous_grammar():
@@ -399,15 +405,15 @@ FIXTURE_GRAMMARS = ("agree.gr", "agree_relaxed.gr", "catalan.gr", "commatext.gr"
 @given(st.data())
 def test_children_first_walk_matches_key_walk_on_random_lattices(data):
     """On random lattices over each fixture grammar's terminals, with up to
-    six hypotheses per token and a label now and then listed twice, the
-    walk on node slots places the nodes the key-based walk does, in the
-    same order."""
+    six distinct hypotheses per token, the walk on node slots places the
+    nodes the key-based walk does, in the same order."""
     grammar = data.draw(st.sampled_from(FIXTURE_GRAMMARS))
     _, backbone, residues, table = compile_fixture(grammar)
     terminals = sorted(backbone.terminals)
     tokens = []
     for i in range(data.draw(st.integers(1, 7))):
-        labels = data.draw(st.lists(st.sampled_from(terminals), min_size=1, max_size=6))
+        labels = data.draw(st.lists(st.sampled_from(terminals), min_size=1, max_size=6,
+                                    unique=True))
         tokens.append(Token("w%d" % i, i, tuple((label, 0.5) for label in labels)))
     outcome = parse_lattice(SentenceLattice(tuple(tokens)), table, residues)
     if outcome.ok:

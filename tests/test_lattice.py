@@ -31,6 +31,13 @@ def test_likelihood_out_of_range_rejected():
         parse_tagged_line("dog|NN1:0.0")
 
 
+def test_repeated_label_rejected():
+    with pytest.raises(TaggedInputError, match="token 'a' lists label a twice"):
+        parse_tagged_line("a|a:0.5|a:0.3")
+    with pytest.raises(TaggedInputError, match="lists label NN1 twice"):
+        TaggedToken("head", (("NN1", 0.6), ("VV0", 0.3), ("NN1", 0.6)))
+
+
 def test_malformed_token_rejected():
     with pytest.raises(TaggedInputError):
         parse_tagged_line("bareword")

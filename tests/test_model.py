@@ -15,8 +15,9 @@ from punclr.evalmetrics import extract_brackets
 from punclr.grammar import compile_grammar, parse_grammar_file
 from punclr.lalr import build_lalr
 from punclr.glr import (
+    SentenceLattice,
+    Token,
     count_parses,
-    derivation_signature,
     derivation_to_tree,
     derivation_transitions,
     enumerate_derivations,
@@ -37,7 +38,6 @@ from punclr.model import (
     rank_nbest,
     save_counts,
     save_model,
-    score_derivation,
     smooth_good_turing,
     train_counts,
     transition_occurrences,
@@ -45,7 +45,12 @@ from punclr.model import (
 from punclr.lattice import read_tagged_file, to_lattice
 from punclr.trees import format_tree, parse_tree_line, read_treebank, tree_leaves
 
-from oracles import flat_signature
+from oracles import (
+    derivation_signature,
+    flat_signature,
+    leaf_likelihood_sum,
+    score_derivation,
+)
 
 CATALAN = "%start X\nX -> X X ;\nX -> 'a' ;\n"
 
@@ -354,6 +359,56 @@ def test_rank_nbest_equals_enumeration_top_n_on_random_models(data):
         assert [(flat_signature(a.signature), a.log_prob)
                 for a in rank_nbest(forest, model, n)] == [
             (sig, score) for score, sig, _ in oracle[:n]]
+
+
+# tagseq.gr sentences that parse on their first labels alone
+TAGSEQ_SENTENCES = (
+    ("NN1", "VVZ"),
+    ("AT", "NN2", "VV0", "II", "AT", "NN1"),
+    ("AT", "VVN", "NN1", "VVZ", "II", "AT", "NN1"),
+    ("AT", "JJ", "NN2", "VV0", "AT", "NN1", "II", "NN2"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tag_likelihood_scores_equal_oracle_sums_on_random_lattices(data):
+    """On random lattices with two labels on every token, over TWO_WAY and
+    tagseq.gr, under models trained on random weighted draws of their own
+    derivations: each analysis rank_nbest returns with tag likelihoods
+    scores, bit for bit, its transitions' log probabilities summed in
+    sequence plus its leaves' log likelihoods summed subtree by subtree, and
+    the analyses are distinct and come in non-increasing score."""
+    if data.draw(st.booleans()):
+        backbone, residues = compile_grammar(parse_grammar_file(TWO_WAY))
+        table = build_lalr(backbone)
+        firsts = data.draw(st.lists(st.sampled_from("xy"), min_size=1, max_size=4))
+    else:
+        _, backbone, residues, table = compile_fixture("tagseq.gr")
+        firsts = data.draw(st.sampled_from(TAGSEQ_SENTENCES))
+    tokens = []
+    for i, first in enumerate(firsts):
+        second = data.draw(st.sampled_from(sorted(backbone.terminals - {first})))
+        likelihoods = data.draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2))
+        labels = sorted(zip((first, second), likelihoods), key=lambda h: -h[1])
+        tokens.append(Token("w%d" % i, i, tuple(labels)))
+    forest = parse_lattice(SentenceLattice(tuple(tokens)), table, residues).forest
+    total = count_parses(forest)
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, total - 1), st.floats(0.01, 10.0)), max_size=4))
+    histories = [derivation_transitions(nth_derivation(forest, i)) for i, _ in picks]
+    counts = train_counts(histories, table.table_hash(), [w for _, w in picks])
+    model = smooth_good_turing(counts, table)
+    for n in (1, 3, 10):
+        ranked = rank_nbest(forest, model, n, include_tag_likelihoods=True)
+        assert len(ranked) == min(n, total)
+        for a in ranked:
+            expected = (score_derivation(derivation_transitions(a.derivation), model)
+                        + leaf_likelihood_sum(a.derivation))
+            assert a.log_prob.hex() == expected.hex()
+        scores = [a.log_prob for a in ranked]
+        assert scores == sorted(scores, reverse=True)
+        assert len({flat_signature(a.signature) for a in ranked}) == len(ranked)
 
 
 @settings(max_examples=200, deadline=None)
@@ -734,7 +789,7 @@ def test_ranked_trees_equal_fresh_walks_and_share_subtrees():
                 assert a.tree == derivation_to_tree(a.derivation)
                 spliced += any(
                     glr.is_iteration_symbol(getattr(d[0], "symbol", ""))
-                    for _, d in glr.walk_derivation(a.derivation))
+                    for d in glr.derivation_postorder(a.derivation))
             if grammar == "catalan.gr":
                 subtrees = [_subtrees_by_subderivation(a) for a in ranked]
                 for first, second in itertools.combinations(subtrees, 2):
