@@ -16,15 +16,16 @@ tree: compile (of the malformed grammars too, so the reader's error
 messages are compared), parse --dump-forest and stats (each also with
 --jobs 2, through the process pool), rank (--nbest 1 and 10,
 --tag-likelihoods), train, eval, eval --parsed and ablate; rank also in
-tsv, whose %r log-probs show every bit, with and without --tag-likelihoods
-(whose leaf sums nest subtree by subtree), also on the 2000-token chain
-(deep trees), and with --nbest 50 on the seed-5 catalan sentences, whose
-scores tie often.  Those sentences are also ranked (tsv --nbest 10 and --nbest
-50) with a model each tree trains from the seed-5 catalan rank treebank,
-since the benchmark's own rank models are trained once, by gen.py, with the
-working tree's code.  Each runs as `python -m punclr.cli` in a directory of
-its own, without writing bytecode and with PYTHONUNBUFFERED unset, so that
-stdout is block-buffered and flushed when the process ends: once in the
+tsv, whose %r log-probs show every bit, at --nbest 1 and 10, with and
+without --tag-likelihoods (whose leaf sums nest subtree by subtree), also
+on the 2000-token chain (deep trees), and with --nbest 50 on the seed-5
+catalan sentences, whose scores tie often.  Those sentences are also ranked
+(tsv --nbest 1, with and without --tag-likelihoods, tsv --nbest 10 and
+--nbest 50) with a model each tree trains from the seed-5 catalan rank
+treebank, since the benchmark's own rank models are trained once, by
+gen.py, with the working tree's code.  Each runs as `python -m punclr.cli`
+in a directory of its own, without writing bytecode and with
+PYTHONUNBUFFERED unset, so that stdout is block-buffered and flushed when the process ends: once in the
 base tree under PYTHONHASHSEED=1, and twice in the working tree, under
 PYTHONHASHSEED=1 and 2, so output that follows string hashing shows as a
 difference too.  The script compares the runs' stdout, their stderr (each
@@ -146,6 +147,9 @@ def invocations(gen: Path) -> list:
     for name, g, model, path in ranks:
         base = ["rank", "--grammar", FIX / (g + ".gr"), "--model", model, path]
         out.append(("rank --nbest 1 " + name, base))
+        out.append(("rank --nbest 1 --format tsv " + name, [*base, "--format", "tsv"]))
+        out.append(("rank --nbest 1 --tag-likelihoods --format tsv " + name,
+                    [*base, "--tag-likelihoods", "--format", "tsv"]))
         out.append(("rank --nbest 10 " + name, [*base, "--nbest", "10"]))
         out.append(("rank --nbest 10 --tag-likelihoods " + name,
                     [*base, "--nbest", "10", "--tag-likelihoods"]))
@@ -154,10 +158,12 @@ def invocations(gen: Path) -> list:
         out.append(("rank --nbest 10 --tag-likelihoods --format tsv " + name,
                     [*base, "--nbest", "10", "--tag-likelihoods", "--format", "tsv"]))
     deep = ["rank", "--grammar", gen / "deep.gr", "--model", "../train chain/model",
-            gen / "deep.txt", "--nbest", "10", "--format", "tsv"]
-    out.append(("rank --nbest 10 --format tsv %d-token chain" % DEEP_TOKENS, deep))
-    out.append(("rank --nbest 10 --tag-likelihoods --format tsv %d-token chain"
-                % DEEP_TOKENS, [*deep, "--tag-likelihoods"]))
+            gen / "deep.txt", "--format", "tsv"]
+    for nbest in ("1", "10"):
+        out.append(("rank --nbest %s --format tsv %d-token chain" % (nbest, DEEP_TOKENS),
+                    [*deep, "--nbest", nbest]))
+        out.append(("rank --nbest %s --tag-likelihoods --format tsv %d-token chain"
+                    % (nbest, DEEP_TOKENS), [*deep, "--nbest", nbest, "--tag-likelihoods"]))
     out.append(("rank --nbest 50 seed-5 catalan",
                 ["rank", "--grammar", FIX / "catalan.gr", "--model", rn / "catalan.model",
                  rn / "catalan.txt", "--nbest", "50"]))
@@ -165,6 +171,10 @@ def invocations(gen: Path) -> list:
     # code; this model is trained in each tree from the same treebank
     trained = ["rank", "--grammar", FIX / "catalan.gr", "--model",
                "../train seed-5 rank catalan/model", rn / "catalan.txt"]
+    out.append(("rank --nbest 1 --format tsv seed-5 catalan, trained in tree",
+                [*trained, "--format", "tsv"]))
+    out.append(("rank --nbest 1 --tag-likelihoods --format tsv seed-5 catalan, trained in tree",
+                [*trained, "--tag-likelihoods", "--format", "tsv"]))
     out.append(("rank --nbest 10 --format tsv seed-5 catalan, trained in tree",
                 [*trained, "--nbest", "10", "--format", "tsv"]))
     out.append(("rank --nbest 50 seed-5 catalan, trained in tree",

@@ -249,8 +249,6 @@ def train_from_trees(artifacts, weighted_trees, max_histories=MAX_HISTORIES):
 
 
 def cmd_train(args):
-    from fractions import Fraction
-
     from .model import save_counts, save_model
 
     weights = args.weight or []
@@ -262,6 +260,8 @@ def cmd_train(args):
         if not (math.isfinite(w) and w > 0):
             raise UsageError("--weight must be finite and positive, not %r" % w)
     if args.subsample is not None:
+        from fractions import Fraction
+
         try:
             positive = Fraction(args.subsample) > 0
         except (ValueError, ZeroDivisionError):

@@ -319,6 +319,15 @@ def rank_nbest(
     entry scores below c, too low to reach the signature tie-break.  On
     near-ties the rule does not fire and the 2n+16 cap applies as before.
 
+    A score pass, children first, first keeps each node's best bottom-up
+    score and the bundles that reach it.  For n = 1 the rule is then tried
+    before any entry past a node's best is built: root entry 1's bottom-up
+    score comes from a walk down the best derivation, summed as lazy next
+    would sum it, only the best entries that the root's signature
+    tie-breaks read are built, and root entry 0 is rescored.  When the rule
+    fires, that entry is the answer.  Otherwise, and for n > 1, every
+    node's best entry is built in one loop and root entries are pulled.
+
     budget, when given, is the CPU time in seconds ranking may take; past it
     RankTimeout is raised.
     """
@@ -331,14 +340,15 @@ def rank_nbest(
             % (model.table_hash, forest.table_hash)
         )
 
+    def check_budget():
+        if budget is not None and time.process_time() - t0 > budget:
+            raise RankTimeout("budget exhausted")
+
     log_probs: dict = {}  # transition -> log probability, each computed once
-
-    def log_prob(transition):
-        lp = log_probs.get(transition)
-        if lp is None:
-            lp = log_probs[transition] = math.log(model.prob(*transition))
-        return lp
-
+    # per node: its best bottom-up score and the indices of the bundles
+    # that reach it
+    best: dict = {}
+    ties: dict = {}
     # per node: the entries ranked so far as (score, nested signature,
     # bundle index, child ranks, derivation); from the first time a second
     # entry is wanted, also the candidate heap of the same tuples with the
@@ -348,7 +358,110 @@ def rank_nbest(
     heaps: dict = {}
     pushed: dict = {}
     exhausted: set = set()  # nodes with no further entries
-    own_scores: dict = {}  # leaf -> log probability, node -> one per bundle
+
+    # the score pass.  A bundle's score is its own log probability, then
+    # each child's best score, added in that order, as push adds them
+    clock = 1  # steps left until the next clock read
+    for node in forest.nodes.values():
+        clock -= 1
+        if not clock:
+            clock = CLOCK_EVERY
+            check_budget()
+        if type(node) is ForestLeaf:
+            score = log_probs.get(node.transition)
+            if score is None:
+                score = log_probs[node.transition] = math.log(model.prob(*node.transition))
+            if include_tag_likelihoods:
+                score += math.log(node.likelihood)
+            best[node] = score
+            lists[node] = [(score, (("t", node.label),), None, (), (node, None, ()))]
+            exhausted.add(node)
+            continue
+        top = -math.inf
+        tied = []
+        for i, (_, children, transition) in enumerate(node.bundles):
+            score = log_probs.get(transition)
+            if score is None:
+                score = log_probs[transition] = math.log(model.prob(*transition))
+            for child in children:
+                score += best[child]
+            if score > top:
+                top = score
+                tied = [i]
+            elif score == top:
+                tied.append(i)
+        best[node] = top
+        ties[node] = tied
+
+    def second_best() -> float:
+        """The bottom-up score lazy next would give root entry 1, summed in
+        the same order, or -inf if there is none.  A node's second best is
+        its best score where bundles tie for it; otherwise the highest score
+        of another bundle's first candidate or of its best bundle with one
+        child at that child's second best.  So only the nodes of the best
+        derivation are visited, children first on an explicit stack."""
+        second = {}
+        stack = [forest.root]
+        while stack:
+            node = stack[-1]
+            if type(node) is ForestLeaf:
+                second[node] = -math.inf
+            elif len(ties[node]) > 1:
+                second[node] = best[node]
+            else:
+                bi = ties[node][0]
+                missing = [child for child in node.bundles[bi][1] if child not in second]
+                if missing:
+                    stack += missing
+                    continue
+                runner = -math.inf
+                for i, (_, children, transition) in enumerate(node.bundles):
+                    if i != bi:
+                        score = log_probs[transition]
+                        for child in children:
+                            score += best[child]
+                        if score > runner:
+                            runner = score
+                _, children, transition = node.bundles[bi]
+                for ci, child in enumerate(children):
+                    if second[child] > runner:  # else no sum through it can win
+                        score = log_probs[transition]
+                        for j, other in enumerate(children):
+                            score += second[other] if j == ci else best[other]
+                        if score > runner:
+                            runner = score
+                second[node] = runner
+            stack.pop()
+        return second[forest.root]
+
+    def build(nodes):
+        """The best entry of each of nodes that has none yet, in that order,
+        from its children's: the tied bundle with the smallest signature,
+        the lowest index among equal signatures, as a heap of all first
+        candidates would pop it.  Tied signatures compare as plain tuples,
+        in C, or as flat preorders when that comparison would recurse too
+        deep."""
+        clock = CLOCK_EVERY
+        for node in nodes:
+            clock -= 1
+            if not clock:
+                clock = CLOCK_EVERY
+                check_budget()
+            if node in lists:
+                continue
+            bundles = node.bundles
+            tied = [((("p", bundles[i][0]), *[lists[child][0][1] for child in bundles[i][1]]),
+                     i) for i in ties[node]]
+            if len(tied) == 1:
+                sig, bi = tied[0]
+            else:
+                try:
+                    sig, bi = min(tied)
+                except RecursionError:
+                    sig, bi = min(tied, key=lambda e: _preorder(e[0]))
+            children = bundles[bi][1]
+            lists[node] = [(best[node], sig, bi, (0,) * len(children),
+                            (node, bi, tuple([lists[child][0][4] for child in children])))]
 
     def push(node, bi, ranks):
         """Push the entry of bundle bi over the children's entries at ranks,
@@ -356,8 +469,8 @@ def rank_nbest(
         if (bi, ranks) in pushed[node]:
             return
         pushed[node].add((bi, ranks))
-        production, children, _ = node.bundles[bi]
-        score = own_scores[node][bi]
+        production, children, transition = node.bundles[bi]
+        score = log_probs[transition]
         sig = [("p", production)]
         derivs = []
         for child, r in zip(children, ranks):
@@ -386,50 +499,20 @@ def rank_nbest(
         for bi, (_, children, _) in enumerate(node.bundles):
             push(node, bi, (0,) * len(children))
 
-    # every node's best entry, children first: the bundle with the highest
-    # score over its children's best entries, the smallest signature among
-    # equal scores and the lowest bundle index among equal signatures, as a
-    # heap of all first candidates would pop it.  One loop over a node's
-    # bundles takes each one's own log probability and score (the own log
-    # probability, then each child's best score, added in that order) and
-    # keeps the best score with the bundles that reach it; candidate
-    # signatures are built only for those.  Where two or more tie, the
-    # signatures compare as plain tuples, in C, or as flat preorders when
-    # that comparison would recurse too deep
-    for node in forest.nodes.values():
-        if type(node) is ForestLeaf:
-            score = own_scores[node] = log_prob(node.transition)
-            if include_tag_likelihoods:
-                score += math.log(node.likelihood)
-            lists[node] = [(score, (("t", node.label),), None, (), (node, None, ()))]
-            exhausted.add(node)
-            continue
-        bundles = node.bundles
-        own = own_scores[node] = []
-        best = -math.inf
-        ties = []  # the indices of the bundles that score best so far
-        for i, (_, children, transition) in enumerate(bundles):
-            score = log_prob(transition)
-            own.append(score)
-            for child in children:
-                score += lists[child][0][0]
-            if score > best:
-                best = score
-                ties = [i]
-            elif score == best:
-                ties.append(i)
-        tied = [((("p", bundles[i][0]), *[lists[child][0][1] for child in bundles[i][1]]), i)
-                for i in ties]
-        if len(tied) == 1:
-            sig, bi = tied[0]
-        else:
-            try:
-                sig, bi = min(tied)
-            except RecursionError:
-                sig, bi = min(tied, key=lambda e: _preorder(e[0]))
-        children = bundles[bi][1]
-        lists[node] = [(best, sig, bi, (0,) * len(children),
-                        (node, bi, tuple([lists[child][0][4] for child in children])))]
+    rescored = []  # (canonical score, _Signature, derivation) per root entry
+
+    def rescore(entry) -> float:
+        """Add a root entry to rescored with its canonical score, the log
+        probabilities of derivation_transitions(deriv) summed in that order,
+        and return that score."""
+        _, sig, _, _, deriv = entry
+        order = derivation_postorder(deriv)
+        canonical = sum([log_probs[node.transition if bi is None else node.bundles[bi][2]]
+                         for node, bi, _ in order])
+        if include_tag_likelihoods:
+            canonical += _leaf_likelihood_sum(order)
+        rescored.append((canonical, _Signature(sig), deriv))
+        return canonical
 
     # K: a derivation has at most one transition per node and one tag
     # likelihood per leaf; 8 spare terms raise the threshold by about
@@ -438,11 +521,39 @@ def rank_nbest(
     gamma = k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
     shrink = (1 - gamma) / (1 + gamma)
     root_node = forest.root
-    root = lists[root_node]
-    rescored = []
     top_n = []  # min-heap of the n highest canonical scores so far
-    clock = 1  # steps left until the next clock read
-    for wanted in range(2 * n + 16):
+    if n == 1:
+        # try the stop rule on root entry 1 before any entry past a best one
+        # is built.  On an exact tie at the top, pulling starts at root
+        # entry 0, as for n > 1
+        second = second_best()
+        if second < best[root_node]:
+            # the best entries of the root's tie closure, children first on
+            # an explicit stack: those of the children of every bundle tied
+            # for a node's best, from the root down
+            stack = [root_node]
+            while stack:
+                clock -= 1
+                if not clock:
+                    clock = CLOCK_EVERY
+                    check_budget()
+                node = stack[-1]
+                if node in lists:
+                    stack.pop()
+                    continue
+                missing = [child for i in ties[node] for child in node.bundles[i][1]
+                           if child not in lists]
+                if missing:
+                    stack += missing
+                else:
+                    build((node,))
+                    stack.pop()
+            top_n.append(rescore(lists[root_node][0]))
+            if second * shrink < top_n[0]:
+                return _analyses(rescored, n)
+    build(forest.nodes.values())
+    root = lists[root_node]
+    for wanted in range(len(rescored), 2 * n + 16):
         # root entry `wanted` by Huang & Chiang's lazy next on an explicit
         # stack of (node, rank wanted): a node's next entry is popped right
         # after the successors of its last entry are pushed, and each
@@ -452,8 +563,7 @@ def rank_nbest(
             clock -= 1
             if not clock:
                 clock = CLOCK_EVERY
-                if budget is not None and time.process_time() - t0 > budget:
-                    raise RankTimeout("budget exhausted")
+                check_budget()
             node, rank = stack[-1]
             if rank < len(lists[node]) or node in exhausted:
                 stack.pop()
@@ -472,23 +582,20 @@ def rank_nbest(
                 pop(node)
         if wanted == len(root):
             break
-        score, sig, _, _, deriv = root[wanted]
-        if len(top_n) == n and score * shrink < top_n[0]:
+        if len(top_n) == n and root[wanted][0] * shrink < top_n[0]:
             break  # no later root entry can place
-        # the canonical score: the log probabilities of
-        # derivation_transitions(deriv), summed in that order
-        order = derivation_postorder(deriv)
-        canonical = sum([own_scores[node] if bi is None else own_scores[node][bi]
-                         for node, bi, _ in order])
-        if include_tag_likelihoods:
-            canonical += _leaf_likelihood_sum(order)
-        rescored.append((canonical, _Signature(sig), deriv))
+        canonical = rescore(root[wanted])
         if len(top_n) < n:
             heapq.heappush(top_n, canonical)
         else:
             heapq.heappushpop(top_n, canonical)
-    rescored.sort(key=lambda e: (-e[0], e[1]))
+    return _analyses(rescored, n)
 
+
+def _analyses(rescored, n) -> list:
+    """The top n of rescored, (canonical score, _Signature, derivation)
+    triples, by score and then signature, as RankedAnalysis tuples."""
+    rescored.sort(key=lambda e: (-e[0], e[1]))
     trees: dict = {}  # shared by the analyses, whose derivations share subderivations
     return [
         RankedAnalysis(derivation_to_tree(deriv, trees), score, rank, sig.nested, deriv)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -734,6 +735,64 @@ def test_rank_budget_raises_rank_timeout():
         rank_nbest(forest, model, 3, budget=-1.0)
     unbounded = rank_nbest(forest, model, 3)
     assert rank_nbest(forest, model, 3, budget=60.0) == unbounded
+
+
+def counted_pushes(monkeypatch) -> list:
+    """The items punclr.model pushes through heapq.heappush from here on,
+    in a list the caller may clear."""
+    pushed = []
+    heappush = model_module.heapq.heappush
+
+    def counted(heap, item):
+        pushed.append(item)
+        heappush(heap, item)
+
+    monkeypatch.setattr(model_module.heapq, "heappush", counted)
+    return pushed
+
+
+def test_rank_budget_bounds_the_score_pass(monkeypatch):
+    """The score pass reads the CPU clock every CLOCK_EVERY nodes, so a
+    budget that runs out within it raises RankTimeout there, before any
+    entry is pushed, at n = 1 as at n = 10.  On the 40-leaf catalan forest,
+    under a clock that advances one step per read, the budget is 8 steps
+    and the score pass alone reads the clock more often than that."""
+    artifacts = compile_fixture("catalan.gr")
+    _, _, residues, table = artifacts
+    _, trained, _ = train_model_from_treebanks(
+        artifacts, [FIXTURES / "catalan_train.tb"], [1.0])
+    forest = parse(table, residues, ["a"] * 40).forest
+    assert len(forest.nodes) > 10 * glr.CLOCK_EVERY
+    step = 2.0 ** -20
+    reads = itertools.count(1)
+    monkeypatch.setattr(time, "process_time", lambda: next(reads) * step)
+    pushed = counted_pushes(monkeypatch)
+    for n in (1, 10):
+        with pytest.raises(RankTimeout):
+            rank_nbest(forest, trained, n, budget=8 * step)
+        assert pushed == []
+
+
+def test_one_best_settles_without_pulls_unless_the_top_ties(monkeypatch):
+    """rank_nbest(n=1) tries the stop rule on root entry 1 before building
+    any entry past a node's best.  On a^12 under the model trained from
+    catalan_train.tb it fires, and nothing is pushed onto a heap.  Under the
+    untrained model the top scores tie exactly, so ranking falls back to
+    pulling root entries, which pushes.  Both return the enumeration's
+    top 1, signature and log-prob."""
+    artifacts = compile_fixture("catalan.gr")
+    _, _, residues, table = artifacts
+    _, trained, _ = train_model_from_treebanks(
+        artifacts, [FIXTURES / "catalan_train.tb"], [1.0])
+    untrained = smooth_good_turing(train_counts([], table.table_hash()), table)
+    forest = parse(table, residues, ["a"] * 12).forest
+    pushed = counted_pushes(monkeypatch)
+    for model, pulls in ((trained, False), (untrained, True)):
+        pushed.clear()
+        (top,) = rank_nbest(forest, model, 1)
+        assert bool(pushed) == pulls
+        ((score, sig, _),) = nbest_oracle(forest, model, 1)
+        assert (flat_signature(top.signature), top.log_prob) == (sig, score)
 
 
 def test_deep_chain_ranks_and_extracts_without_recursion():
