@@ -15,8 +15,9 @@ code differs.  A fixed list of default-format invocations runs in each
 tree: compile (of the malformed grammars too, so the reader's error
 messages are compared), parse --dump-forest and stats (each also with
 --jobs 2, through the process pool), rank (--nbest 1 and 10,
---tag-likelihoods), train, eval, eval --parsed and ablate; rank also in
-tsv, whose %r log-probs show every bit, at --nbest 1 and 10, with and
+--tag-likelihoods), train, eval, eval --parsed and ablate; eval and rank
+also in tsv, whose %r figures show every bit (eval's default report rounds
+to 0.1%): eval on each gold set, rank at --nbest 1 and 10, with and
 without --tag-likelihoods (whose leaf sums nest subtree by subtree), also
 on the 2000-token chain (deep trees), and with --nbest 50 on the seed-5
 catalan sentences, whose scores tie often.  Those sentences are also ranked
@@ -186,8 +187,9 @@ def invocations(gen: Path) -> list:
          FIX / "tagseq_gold.tb"),
         ("seed-5", "catalan", "../train seed-5/model", te / "gold.tb"),
     ):
-        out.append(("eval " + name, ["eval", "--grammar", FIX / (g + ".gr"),
-                                     "--model", model, "--gold", gold]))
+        evaluate = ["eval", "--grammar", FIX / (g + ".gr"), "--model", model, "--gold", gold]
+        out.append(("eval " + name, evaluate))
+        out.append(("eval --format tsv " + name, [*evaluate, "--format", "tsv"]))
         out.append(("eval --parsed " + name, ["eval", "--gold", gold, "--parsed", gold]))
     out.append(("ablate fixture", ["ablate", "--grammar", FIX / "catalan.gr",
                                    "--treebank", FIX / "catalan_train.tb",

@@ -127,11 +127,6 @@ def apb(records) -> float:
     return math.exp(total / len(records))
 
 
-def expected_ambiguity(apb_value: float, length: float) -> float:
-    """Analyses a sentence of the given length can expect: APB ** length."""
-    return apb_value ** length
-
-
 BUCKETS = (
     ("1-9", 1, 9),
     ("10-99", 10, 99),

@@ -158,7 +158,6 @@ class ParseForest(NamedTuple):
 
     nodes: dict
     n_tokens: int
-    start_symbol: str
     table: LalrTable
 
     @property
@@ -227,7 +226,6 @@ def parse_lattice(
     n = len(lattice)
     last_open, first_close = _bracket_tables(skeleton or (), n)
     rows = table.rows
-    productions = table.productions
     featureless = {
         index for index, spec in residues.items()
         if not spec.mother.features and not any(d.features for d in spec.daughters)
@@ -237,10 +235,6 @@ def parse_lattice(
     # depends on nothing else
     residue_memo: dict = {}
     root_bundles: list = []
-    start_symbol = None
-    for p in productions:
-        if p.rule_id == "$aug":
-            start_symbol = p.rhs[0]
     serials = iter(range(1 << 60))
     initial = _GssNode(table.start_state, 0, next(serials))
     frontier = {table.start_state: initial}
@@ -383,7 +377,7 @@ def parse_lattice(
                     if cell is None or cell[3] is None:
                         continue
                     for below, child in node.edges:
-                        if below is initial and child.key[1] == start_symbol:
+                        if below is initial:
                             root_bundles.append((-1, (child,), cell[3]))
         if j < n and not next_frontier:
             return fail("no shift possible at token %d" % j)
@@ -394,7 +388,7 @@ def parse_lattice(
         return fail("no analysis spans the sentence")
 
     root = ForestNode(ROOT_KEY, "$root", 0, n, (), root_bundles)
-    forest = ParseForest(_children_first(root), n, start_symbol, table)
+    forest = ParseForest(_children_first(root), n, table)
     return ParseOutcome("ok", forest, "", time.process_time() - t0, n)
 
 

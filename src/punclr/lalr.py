@@ -256,7 +256,7 @@ def dump_table(table: LalrTable, path):
 
 
 class ModelError(Exception):
-    """A malformed or mismatched model or counts file (read_records raises it
+    """A malformed or mismatched model file (read_records raises it
     for the model module, and the CLI catches it without importing that)."""
 
 

@@ -321,12 +321,12 @@ def rank_nbest(
 
     A score pass, children first, first keeps each node's best bottom-up
     score and the bundles that reach it.  For n = 1 the rule is then tried
-    before any entry past a node's best is built: root entry 1's bottom-up
-    score comes from a walk down the best derivation, summed as lazy next
-    would sum it, only the best entries that the root's signature
-    tie-breaks read are built, and root entry 0 is rescored.  When the rule
-    fires, that entry is the answer.  Otherwise, and for n > 1, every
-    node's best entry is built in one loop and root entries are pulled.
+    before any entry past a node's best is built.  One walk over the
+    root's tie closure, the nodes its signature tie-breaks read, builds
+    their best entries and gives root entry 1's bottom-up score, summed as
+    lazy next would sum it; root entry 0 is rescored.  When the rule fires,
+    that entry is the answer.  Otherwise, and for n > 1, every node's best
+    entry is built in one loop and root entries are pulled.
 
     budget, when given, is the CPU time in seconds ranking may take; past it
     RankTimeout is raised.
@@ -392,47 +392,6 @@ def rank_nbest(
                 tied.append(i)
         best[node] = top
         ties[node] = tied
-
-    def second_best() -> float:
-        """The bottom-up score lazy next would give root entry 1, summed in
-        the same order, or -inf if there is none.  A node's second best is
-        its best score where bundles tie for it; otherwise the highest score
-        of another bundle's first candidate or of its best bundle with one
-        child at that child's second best.  So only the nodes of the best
-        derivation are visited, children first on an explicit stack."""
-        second = {}
-        stack = [forest.root]
-        while stack:
-            node = stack[-1]
-            if type(node) is ForestLeaf:
-                second[node] = -math.inf
-            elif len(ties[node]) > 1:
-                second[node] = best[node]
-            else:
-                bi = ties[node][0]
-                missing = [child for child in node.bundles[bi][1] if child not in second]
-                if missing:
-                    stack += missing
-                    continue
-                runner = -math.inf
-                for i, (_, children, transition) in enumerate(node.bundles):
-                    if i != bi:
-                        score = log_probs[transition]
-                        for child in children:
-                            score += best[child]
-                        if score > runner:
-                            runner = score
-                _, children, transition = node.bundles[bi]
-                for ci, child in enumerate(children):
-                    if second[child] > runner:  # else no sum through it can win
-                        score = log_probs[transition]
-                        for j, other in enumerate(children):
-                            score += second[other] if j == ci else best[other]
-                        if score > runner:
-                            runner = score
-                second[node] = runner
-            stack.pop()
-        return second[forest.root]
 
     def build(nodes):
         """The best entry of each of nodes that has none yet, in that order,
@@ -524,33 +483,57 @@ def rank_nbest(
     top_n = []  # min-heap of the n highest canonical scores so far
     if n == 1:
         # try the stop rule on root entry 1 before any entry past a best one
-        # is built.  On an exact tie at the top, pulling starts at root
-        # entry 0, as for n > 1
-        second = second_best()
-        if second < best[root_node]:
-            # the best entries of the root's tie closure, children first on
-            # an explicit stack: those of the children of every bundle tied
-            # for a node's best, from the root down
-            stack = [root_node]
-            while stack:
-                clock -= 1
-                if not clock:
-                    clock = CLOCK_EVERY
-                    check_budget()
-                node = stack[-1]
-                if node in lists:
-                    stack.pop()
-                    continue
-                missing = [child for i in ties[node] for child in node.bundles[i][1]
-                           if child not in lists]
+        # is built.  One walk, children first on an explicit stack, covers
+        # the root's tie closure (the children of every bundle tied for a
+        # node's best, from the root down).  At each node it builds the best
+        # entry and keeps the second best score, the bottom-up score lazy
+        # next would give entry 1, summed in the same order, or -inf if there
+        # is none: the best score where bundles tie for it, otherwise the
+        # highest score of another bundle's first candidate or of the best
+        # bundle with one child at that child's second best
+        second = {}
+        stack = [root_node]
+        while stack:
+            clock -= 1
+            if not clock:
+                clock = CLOCK_EVERY
+                check_budget()
+            node = stack[-1]
+            if type(node) is ForestLeaf:
+                second[node] = -math.inf
+            elif node not in second:
+                tied = ties[node]
+                missing = [child for i in tied for child in node.bundles[i][1]
+                           if child not in second]
                 if missing:
                     stack += missing
+                    continue
+                build((node,))
+                if len(tied) > 1:
+                    runner = best[node]
                 else:
-                    build((node,))
-                    stack.pop()
-            top_n.append(rescore(lists[root_node][0]))
-            if second * shrink < top_n[0]:
-                return _analyses(rescored, n)
+                    bi = tied[0]
+                    runner = -math.inf
+                    for i, (_, children, transition) in enumerate(node.bundles):
+                        if i != bi:
+                            score = log_probs[transition]
+                            for child in children:
+                                score += best[child]
+                            if score > runner:
+                                runner = score
+                    _, children, transition = node.bundles[bi]
+                    for ci, child in enumerate(children):
+                        if second[child] > runner:  # else no sum through it can win
+                            score = log_probs[transition]
+                            for j, other in enumerate(children):
+                                score += second[other] if j == ci else best[other]
+                            if score > runner:
+                                runner = score
+                second[node] = runner
+            stack.pop()
+        top_n.append(rescore(lists[root_node][0]))
+        if second[root_node] * shrink < top_n[0]:
+            return _analyses(rescored, n)
     build(forest.nodes.values())
     root = lists[root_node]
     for wanted in range(len(rescored), 2 * n + 16):
@@ -673,14 +656,6 @@ def save_counts(counts: TransitionCounts, path):
             )
 
 
-def _count(field: str) -> float:
-    """The read_records converter for a count: finite and at least 0."""
-    c = float(field)
-    if not 0.0 <= c < math.inf:
-        raise FieldError("expected a finite count of at least 0, found %r" % field)
-    return c
-
-
 def _probability(field: str) -> float:
     """The read_records converter for a probability: in (0, 1], so every log
     probability rank_nbest sums is finite and at most 0."""
@@ -688,25 +663,6 @@ def _probability(field: str) -> float:
     if not 0.0 < p <= 1.0:
         raise FieldError("expected a probability in (0, 1], found %r" % field)
     return p
-
-
-_TRANSITION = (int, unesc, action_kind, int)  # state, label, kind, arg
-
-
-def load_counts(path) -> TransitionCounts:
-    counts: dict = {}
-    table_hash = ""
-    total = 0.0
-    fields = {"table": (str,), "histories": (_count,), "count": (*_TRANSITION, _count)}
-    for record, values in read_records(path, "counts", fields, ModelError):
-        if record == "table":
-            (table_hash,) = values
-        elif record == "histories":
-            (total,) = values
-        else:
-            state, label, kind, arg, c = values
-            counts[(state, label, Action(kind, arg))] = c
-    return TransitionCounts(counts, table_hash, total)
 
 
 def save_model(model: ProbModel, path):
@@ -728,7 +684,7 @@ def load_model(path) -> ProbModel:
     unseen: dict = {}
     table_hash = ""
     fields = {"table": (str,), "unseen": (int, unesc, _probability),
-              "prob": (*_TRANSITION, _probability)}
+              "prob": (int, unesc, action_kind, int, _probability)}
     for record, values in read_records(path, "model", fields, ModelError):
         if record == "table":
             (table_hash,) = values

@@ -14,7 +14,7 @@ from punclr import cli, glr, model as model_module
 from punclr.cli import train_from_trees, train_model_from_treebanks
 from punclr.evalmetrics import extract_brackets
 from punclr.grammar import compile_grammar, parse_grammar_file
-from punclr.lalr import build_lalr
+from punclr.lalr import Action, action_kind, build_lalr, read_records, unesc
 from punclr.glr import (
     SentenceLattice,
     Token,
@@ -34,7 +34,6 @@ from punclr.model import (
     TransitionCounts,
     extract_histories,
     good_turing_adjusted_count,
-    load_counts,
     load_model,
     rank_nbest,
     save_counts,
@@ -565,22 +564,25 @@ def test_counts_and_model_round_trip(tmp_path):
     mpath = tmp_path / "t.model"
     save_counts(counts, cpath)
     save_model(model, mpath)
-    assert load_counts(cpath).counts == counts.counts
+    fields = {"table": (str,), "histories": (float,),
+              "count": (int, unesc, action_kind, int, float)}
+    records = list(read_records(cpath, "counts", fields))
+    assert records[:2] == [("table", [counts.table_hash]),
+                           ("histories", [counts.total_histories])]
+    assert {(state, label, Action(kind, arg)): c
+            for _, (state, label, kind, arg, c) in records[2:]} == counts.counts
     loaded = load_model(mpath)
     assert loaded.probs == model.probs
     assert loaded.unseen == model.unseen
     assert loaded.table_hash == model.table_hash
 
 
-def _saved_counts_and_model(tmp_path):
+def _saved_model(tmp_path):
     table, residues = setup_catalan()
     histories, _ = branchy_histories(table, residues)
-    counts = train_counts(histories, table.table_hash())
-    cpath = tmp_path / "t.counts"
     mpath = tmp_path / "t.model"
-    save_counts(counts, cpath)
-    save_model(smooth_good_turing(counts, table), mpath)
-    return cpath, mpath
+    save_model(smooth_good_turing(train_counts(histories, table.table_hash()), table), mpath)
+    return mpath
 
 
 def _corrupt(path, lineno, replacement):
@@ -589,38 +591,28 @@ def _corrupt(path, lineno, replacement):
     path.write_text("".join(lines))
 
 
+# reader, the kind of file read back, shows in each case's id
 @pytest.mark.parametrize(
     "reader, replacement, message",
     [
-        ("counts", "\n", "line 4: blank line"),
-        ("counts", "count 0 a\n", "line 4: count record needs 5 fields, found 2"),
-        ("counts", "count 0 a reduce x 1.0\n", "line 4: non-numeric field"),
-        ("counts", "count 0 a bogus 1 1.0\n",
-         "line 4: expected shift or reduce or accept for the action kind, found 'bogus'"),
         ("model", "\n", "line 4: blank line"),
         ("model", "prob 0\n", "line 4: prob record needs 5 fields, found 1"),
         ("model", "unseen zero a 0.5\n", "line 4: non-numeric field"),
         ("model", "prob 0 a Shift 1 0.5\n",
          "line 4: expected shift or reduce or accept for the action kind, found 'Shift'"),
         ("model", "shift 0 a\n", "line 4: unknown record 'shift'"),
-        ("counts", "histories 4 5\n", "line 4: histories record needs 1 fields, found 2"),
         # rank_nbest's stop rule needs every log probability finite and <= 0
         *[("model", record % value, "line 4: expected a probability in (0, 1], found %r"
            % value)
           for record in ("prob 0 a shift 1 %s\n", "unseen 0 a %s\n")
           for value in ("0.0", "-0.5", "nan", "inf", "1.5")],
-        *[("counts", record % value, "line 4: expected a finite count of at least 0, "
-           "found %r" % value)
-          for record in ("count 0 a shift 1 %s\n", "histories %s\n")
-          for value in ("-1.0", "nan", "inf", "-inf")],
     ],
 )
 def test_malformed_line_raises_model_error(tmp_path, reader, replacement, message):
-    cpath, mpath = _saved_counts_and_model(tmp_path)
-    path, load = (cpath, load_counts) if reader == "counts" else (mpath, load_model)
+    path = _saved_model(tmp_path)
     _corrupt(path, 4, replacement)
     with pytest.raises(ModelError, match="^" + re.escape(message)):
-        load(path)
+        load_model(path)
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +763,32 @@ def test_rank_budget_bounds_the_score_pass(monkeypatch):
         with pytest.raises(RankTimeout):
             rank_nbest(forest, trained, n, budget=8 * step)
         assert pushed == []
+
+
+def test_rank_budget_bounds_the_one_best_walk(monkeypatch):
+    """For n = 1 the walk over the root's tie closure goes on reading the
+    CPU clock every CLOCK_EVERY steps, so a budget that outlasts the score
+    pass runs out in the walk and raises RankTimeout there, before anything
+    is pushed.  On the 40-leaf catalan forest under the model trained from
+    catalan_train.tb the walk settles the 1-best; under a clock that
+    advances one step per read, the budget is the score pass's reads."""
+    artifacts = compile_fixture("catalan.gr")
+    _, _, residues, table = artifacts
+    _, trained, _ = train_model_from_treebanks(
+        artifacts, [FIXTURES / "catalan_train.tb"], [1.0])
+    forest = parse(table, residues, ["a"] * 40).forest
+    pushed = counted_pushes(monkeypatch)
+    rank_nbest(forest, trained, 1)
+    assert pushed == []
+    step = 2.0 ** -20
+    reads = itertools.count(1)
+    monkeypatch.setattr(time, "process_time", lambda: next(reads) * step)
+    score_pass_reads = -(-len(forest.nodes) // glr.CLOCK_EVERY)
+    with pytest.raises(RankTimeout):
+        rank_nbest(forest, trained, 1, budget=score_pass_reads * step)
+    # t0, the score pass's reads, then the walk's first, which raised
+    assert next(reads) == score_pass_reads + 3
+    assert pushed == []
 
 
 def test_one_best_settles_without_pulls_unless_the_top_ties(monkeypatch):
