@@ -6,15 +6,18 @@
 The base commit is exported with git archive (bench_pairs.export) into a
 temporary directory; the change is the working tree this script sits in.
 perfbench/gen.py writes the benchmark's seed-5 inputs once, and both trees
-read those, the inputs the script writes (a 750-link unit chain, a grammar
+read those, the inputs the script writes (a 750-link unit chain, a seeded
+200-rule grammar whose table is large and full of conflicts, a grammar
 with a unit cycle, six malformed grammars, the left-recursive chain
 S -> S 'a' with three training trees and one 2000-token sentence, and a
 grammar of 4- and 5-daughter rules with nullable daughters between them,
 with five sentences of it) and the working tree's fixtures, so only the
 code differs.  A fixed list of default-format invocations runs in each
 tree: compile (of the malformed grammars too, so the reader's error
-messages are compared), parse --dump-forest and stats (each also with
---jobs 2, through the process pool), rank (--nbest 1 and 10,
+messages are compared, and with -o for the fixture, chain and 200-rule
+tables, so every action is compared: the printed table hash counts the
+actions without reading them), parse --dump-forest and stats (each also
+with --jobs 2, through the process pool), rank (--nbest 1 and 10,
 --tag-likelihoods), train, eval, eval --parsed and ablate; eval and rank
 also in tsv, whose %r figures show every bit (eval's default report rounds
 to 0.1%): eval on each gold set, rank at --nbest 1 and 10, with and
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -55,6 +59,7 @@ FIX = ROOT / "fixtures"
 # is compared with the second, and the second with the third
 RUNS = (("base", "1"), ("change", "1"), ("change", "2"))
 CHAIN_LINKS = 750
+SCALE_RULES = 200
 CYCLIC = "%start X\nX -> Y ;\nY -> X ;\nX -> 'a' ;\n"
 DEEP_TOKENS = 2000
 # file stem -> text of a grammar that compile rejects
@@ -79,14 +84,34 @@ WIDE_SENTENCES = (
 )
 
 
+def scale_grammar(rules: int, seed: int) -> str:
+    """A seeded grammar of `rules` rules over rules // 10 + 5 nonterminals
+    N0 N1 ... and the 40 terminals t0 ... t39, with 1-4 daughters a rule,
+    each a nonterminal or a terminal with even odds.  A nonterminal's first
+    rule and every unit rule name only later nonterminals, so that each
+    nonterminal derives a string and no unit derivation cycles."""
+    rng = random.Random(seed)
+    n = rules // 10 + 5
+    lines = ["%start N0"]
+    for r in range(rules):
+        lhs, arity = r % n, rng.randint(1, 4)
+        low = lhs + 1 if r < n or arity == 1 else 0
+        daughters = ["N%d" % rng.randrange(low, n) if low < n and rng.random() < 0.5
+                     else "'t%d'" % rng.randrange(40) for _ in range(arity)]
+        lines.append("N%d -> %s ;" % (lhs, " ".join(daughters)))
+    return "\n".join(lines) + "\n"
+
+
 def write_inputs(gen: Path):
-    """In gen: the unit chain A0 -> A1 -> ... -> A750 -> 'a', a grammar
-    whose unit derivations X -> Y -> X form a cycle, each MALFORMED grammar
+    """In gen: the unit chain A0 -> A1 -> ... -> A750 -> 'a', the
+    SCALE_RULES-rule scale grammar of seed 5, a grammar whose unit
+    derivations X -> Y -> X form a cycle, each MALFORMED grammar
     as <stem>.gr, the left-recursive chain S -> S 'a' with a treebank of
     three short chains and a sentence of 2000 a's, and the WIDE grammar with
     its sentences."""
     chain = "".join("A%d -> A%d ;\n" % (i, i + 1) for i in range(CHAIN_LINKS))
     (gen / "chain.gr").write_text("%%start A0\n%sA%d -> 'a' ;\n" % (chain, CHAIN_LINKS))
+    (gen / "scale.gr").write_text(scale_grammar(SCALE_RULES, 5))
     (gen / "cyclic.gr").write_text(CYCLIC)
     for stem, text in MALFORMED.items():
         (gen / (stem + ".gr")).write_text(text)
@@ -106,6 +131,8 @@ def invocations(gen: Path) -> list:
                      "tagseq")]
     out.append(("compile %d-link unit chain" % CHAIN_LINKS,
                 ["compile", gen / "chain.gr", "-o", "table.txt"]))
+    out.append(("compile %d-rule scale grammar" % SCALE_RULES,
+                ["compile", gen / "scale.gr", "-o", "table.txt"]))
     out.append(("compile unit cycle", ["compile", gen / "cyclic.gr"]))
     out += [("compile " + stem, ["compile", gen / (stem + ".gr")]) for stem in MALFORMED]
     sentences = [

@@ -1,15 +1,18 @@
 """LALR(1) table construction over a context-free backbone.
 
 States are the LR(0) canonical collection, numbered in breadth-first
-discovery order so that identical input always yields identical numbering.
-Lookaheads are the least fixpoint of passing each closure item's lookaheads
-to its goto successor (DeRemer & Pennello 1982 compute the same sets).
-Shift/reduce and reduce/reduce conflicts are kept as action
-sets: the table drives a nondeterministic (generalized) parser, so a
-conflict is data, not an error.
+discovery order so that identical input always yields identical numbering;
+each state is closed once.  Lookaheads are the least fixpoint of one
+propagation over the closure items, on a single worklist: each item passes
+its set to its goto successor, and an item A -> a . B b gives the items
+that predict B the set FIRST(b), and its own set too when b is nullable
+(DeRemer & Pennello 1982 compute the same sets).  Shift/reduce and
+reduce/reduce conflicts are kept as action sets: the table drives a
+nondeterministic (generalized) parser, so a conflict is data, not an error.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import NamedTuple
 
 from .grammar import END_MARKER, CFBackbone, GrammarError, Production, nullable_symbols
@@ -35,17 +38,17 @@ class LalrTable:
     """The LALR(1) table: per (state, label) action sets, gotos and the
     productions that reduce actions index."""
 
-    __slots__ = ("backbone", "n_states", "actions", "gotos", "productions",
-                 "start_state", "rows", "_backbone_hash", "_hash")
+    __slots__ = ("backbone", "n_states", "actions", "gotos", "productions", "rows",
+                 "_backbone_hash", "_hash")
+    start_state = 0  # build_lalr numbers the $accept item's state first
 
     def __init__(self, backbone: CFBackbone, n_states: int, actions: dict, gotos: dict,
-                 productions: tuple, start_state: int = 0):
+                 productions: tuple):
         self.backbone = backbone
         self.n_states = n_states
         self.actions = actions  # (state, label) -> frozenset[Action]
         self.gotos = gotos  # (state, nonterminal) -> state
         self.productions = productions  # indexable by Action.arg for reduces
-        self.start_state = start_state
         # the parser's view of the same cells, label -> state -> (empty
         # reduces, other reduces, shifts, accept transition or None).  A
         # reduce is (production index, arity, lhs, transition, the lhs's
@@ -126,16 +129,6 @@ def _first_sets(backbone: CFBackbone, nullable: set) -> dict:
     return first
 
 
-def _first_of_seq(seq, first, nullable):
-    """FIRST of a symbol sequence plus a transparency flag."""
-    out = set()
-    for sym in seq:
-        out |= first.get(sym, set())
-        if sym not in nullable:
-            return out, False
-    return out, True
-
-
 def build_lalr(backbone: CFBackbone) -> LalrTable:
     """Build the LALR(1) table, conflicts preserved as action sets."""
     if backbone.start not in backbone.nonterminals():
@@ -149,68 +142,67 @@ def build_lalr(backbone: CFBackbone) -> LalrTable:
     nullable = nullable_symbols(backbone)
     first = _first_sets(backbone, nullable)
 
-    def closure(kernel: dict) -> dict:
-        """LR(1) closure of kernel items (item -> lookahead set), with the
-        lookaheads of each item merged into one set."""
-        items = {item: set(las) for item, las in kernel.items()}
-        work = list(items)
-        while work:
-            prod_i, dot = item = work.pop()
-            rhs = productions[prod_i].rhs
-            if dot == len(rhs) or rhs[dot] not in by_lhs:
-                continue
-            las, transparent = _first_of_seq(rhs[dot + 1 :], first, nullable)
-            if transparent:
-                las |= items[item]
-            for index in by_lhs[rhs[dot]]:
-                new = (index, 0)
-                if new not in items:
-                    items[new] = set(las)
-                    work.append(new)
-                elif not las <= items[new]:
-                    items[new] |= las
-                    work.append(new)
-        return items
-
-    # the LR(0) collection, breadth first with symbols sorted; a state's
-    # kernel maps its kernel items to their lookaheads, filled in below
-    kernels = [{(aug.index, 0): set()}]
-    state_of = {frozenset(kernels[0]): 0}
+    # the LR(0) collection, breadth first with symbols sorted; each state is
+    # closed once, as a list of its kernel items followed by the items (q, 0)
+    # they predict
+    states = [[(aug.index, 0)]]
+    state_of = {frozenset(states[0]): 0}
     transitions: dict = {}  # (state, symbol) -> state
-    for state, kernel in enumerate(kernels):  # kernels grows as it is walked
+    for state, items in enumerate(states):  # states grows as it is walked
         moves: dict = {}
-        for prod_i, dot in closure(kernel):
+        predicted = set()
+        for prod_i, dot in items:  # items grows as it is walked
             rhs = productions[prod_i].rhs
             if dot < len(rhs):
-                moves.setdefault(rhs[dot], set()).add((prod_i, dot + 1))
+                sym = rhs[dot]
+                moves.setdefault(sym, set()).add((prod_i, dot + 1))
+                if sym in by_lhs and sym not in predicted:
+                    predicted.add(sym)
+                    items.extend((index, 0) for index in by_lhs[sym])
         for sym in sorted(moves):
             target = frozenset(moves[sym])
             if target not in state_of:
-                state_of[target] = len(kernels)
-                kernels.append({item: set() for item in target})
+                state_of[target] = len(states)
+                states.append(list(target))
             transitions[(state, sym)] = state_of[target]
 
-    # LALR(1) lookaheads as a least fixpoint: each unfinished item of a
-    # state's closure passes its lookaheads to its successor in the goto
-    # kernel, and a state whose kernel sets grew is closed again
-    kernels[0][(aug.index, 0)].add(END_MARKER)
-    closed = [None] * len(kernels)
-    pending = set(range(len(kernels)))
-    while pending:
-        state = pending.pop()
-        closed[state] = items = closure(kernels[state])
-        for (prod_i, dot), las in items.items():
+    # LALR(1) lookaheads live on nodes: (state, item) for a kernel item, and
+    # (state, B) for the predicted items (q, 0) of B's productions, which
+    # share one set; the $accept item's node is (0, "$accept").  An
+    # unfinished item A -> a . X b passes its set to its successor in the
+    # goto state, and when X is a nonterminal, FIRST(b) and, if b is
+    # nullable, its own set to (state, X).  One worklist runs that to the
+    # least fixpoint
+    las = defaultdict(set, {(0, aug.lhs): {END_MARKER}})  # node -> lookahead set
+    passes = defaultdict(set)  # node -> the nodes it passes its set to
+    finished = []  # (state, production, node) of each finished item
+    for state, items in enumerate(states):
+        for prod_i, dot in items:
             rhs = productions[prod_i].rhs
+            node = (state, (prod_i, dot) if dot else productions[prod_i].lhs)
             if dot == len(rhs):
+                finished.append((state, prod_i, node))
                 continue
-            target = transitions[(state, rhs[dot])]
-            bucket = kernels[target][(prod_i, dot + 1)]
-            if not las <= bucket:
-                bucket |= las
-                pending.add(target)
+            sym = rhs[dot]
+            passes[node].add((transitions[(state, sym)], (prod_i, dot + 1)))
+            if sym in by_lhs:
+                seeds = las[(state, sym)]
+                for later in rhs[dot + 1 :]:
+                    seeds |= first[later]
+                    if later not in nullable:
+                        break
+                else:
+                    passes[node].add((state, sym))
+    work = list(las)
+    while work:
+        node = work.pop()
+        for succ in passes[node]:
+            if not las[node] <= las[succ]:
+                las[succ] |= las[node]
+                work.append(succ)
 
     # actions: shifts from the transitions, reduces and accept from the
-    # finished items of each state's final closure
+    # finished items' nodes
     actions: dict = {}
     gotos: dict = {}
     for (state, sym), target in transitions.items():
@@ -218,17 +210,14 @@ def build_lalr(backbone: CFBackbone) -> LalrTable:
             gotos[(state, sym)] = target
         else:
             actions.setdefault((state, sym), set()).add(Action(SHIFT, target))
-    for state, items in enumerate(closed):
-        for (prod_i, dot), las in items.items():
-            if dot < len(productions[prod_i].rhs):
-                continue
-            action = Action(ACCEPT) if prod_i == aug.index else Action(REDUCE, prod_i)
-            for la in las:
-                actions.setdefault((state, la), set()).add(action)
+    for state, prod_i, node in finished:
+        action = Action(ACCEPT) if prod_i == aug.index else Action(REDUCE, prod_i)
+        for la in las[node]:
+            actions.setdefault((state, la), set()).add(action)
 
     return LalrTable(
         backbone=backbone,
-        n_states=len(kernels),
+        n_states=len(states),
         actions={key: frozenset(acts) for key, acts in actions.items()},
         gotos=gotos,
         productions=productions,

@@ -200,16 +200,22 @@ def test_action_count_counts_all_actions():
     assert table.action_count >= table.n_states - 1
 
 
-def random_grammar_text(rng):
-    """A small random grammar over S A B C and 'a' 'b', with Kleene marks."""
-    nonterminals = ["S", "A", "B", "C"][: rng.randint(2, 4)]
-    symbols = nonterminals + ["'a'", "'b'"]
+def random_grammar_text(rng, size=None):
+    """A random grammar with Kleene marks: by default a small one over two to
+    four of S A B C and 'a' 'b', with 1-3 daughters a rule; with size, one
+    over size nonterminals S N1 N2 ... and five terminals, with 1-4."""
+    if size is None:
+        nonterminals, terminals, most = ["S", "A", "B", "C"][: rng.randint(2, 4)], "ab", 3
+    else:
+        nonterminals = ["S"] + ["N%d" % i for i in range(1, size)]
+        terminals, most = "abcde", 4
+    symbols = nonterminals + ["'%s'" % t for t in terminals]
     lines = ["%start S"]
     for lhs in nonterminals:
         for _ in range(rng.randint(1, 3)):
             daughters = [
                 rng.choice(symbols) + rng.choice(["", "", "", "", "*", "+"])
-                for _ in range(rng.randint(1, 3))
+                for _ in range(rng.randint(1, most))
             ]
             lines.append("%s -> %s ;" % (lhs, " ".join(daughters)))
     return "\n".join(lines) + "\n"
@@ -247,24 +253,36 @@ def finished_actions(table, state):
     return out
 
 
-def test_reduces_equal_canonical_lr1_core_merge_on_random_grammars():
-    rng = random.Random(20261018)
-    checked = with_empty = with_rr_conflict = 0
-    while checked < 500:
+def assert_reduces_equal_core_merge(table, backbone):
+    start, transitions, finals = lalr_by_core_merge(backbone)
+    for state, core in aligned_states(table, start, transitions).items():
+        assert finished_actions(table, state) == finals.get(core, {})
+
+
+def compiled_random_backbones(rng, count, size=None):
+    """The backbones of the first count random grammars that compile."""
+    while count:
         try:
-            backbone, _ = compile_grammar(parse_grammar_file(random_grammar_text(rng)))
+            backbone, _ = compile_grammar(parse_grammar_file(random_grammar_text(rng, size)))
         except GrammarError:
             continue  # undefined symbols, unit cycles or unproductive rules
+        yield backbone
+        count -= 1
+
+
+def test_reduces_equal_canonical_lr1_core_merge_on_random_grammars():
+    with_empty = with_rr_conflict = 0
+    for backbone in compiled_random_backbones(random.Random(20261018), 500):
         table = build_lalr(backbone)
-        start, transitions, finals = lalr_by_core_merge(backbone)
-        for state, core in aligned_states(table, start, transitions).items():
-            assert finished_actions(table, state) == finals.get(core, {})
-        checked += 1
+        assert_reduces_equal_core_merge(table, backbone)
         with_empty += any(not p.rhs for p in backbone.productions)
         with_rr_conflict += any(
             sum(a.kind == REDUCE for a in acts) > 1 for acts in table.actions.values()
         )
     assert with_empty >= 250 and with_rr_conflict >= 150, (with_empty, with_rr_conflict)
+    # larger ones: eight nonterminals over five terminals
+    for backbone in compiled_random_backbones(random.Random(8), 10, size=8):
+        assert_reduces_equal_core_merge(build_lalr(backbone), backbone)
 
 
 def test_fixture_tables_equal_canonical_lr1_core_merge():
