@@ -9,10 +9,12 @@ perfbench/gen.py writes the benchmark's seed-5 inputs once, and both trees
 read those, the inputs the script writes (a 750-link unit chain, a seeded
 200-rule grammar whose table is large and full of conflicts, a grammar
 with a unit cycle, six malformed grammars, the left-recursive chain
-S -> S 'a' with three training trees and one 2000-token sentence, and a
+S -> S 'a' with three training trees and one 2000-token sentence, a
 grammar of 4- and 5-daughter rules with nullable daughters between them,
-with five sentences of it) and the working tree's fixtures, so only the
-code differs.  A fixed list of default-format invocations runs in each
+with five sentences of it, and three plain sentences of the fixture
+unbound.gr, whose forest residues hold a variable) and the working tree's
+fixtures, so only the code differs.  A fixed list of default-format
+invocations runs in each
 tree: compile (of the malformed grammars too, so the reader's error
 messages are compared, and with -o for the fixture, chain and 200-rule
 tables, so every action is compared: the printed table hash counts the
@@ -82,6 +84,8 @@ WIDE_SENTENCES = (
     "a|a:1.0 x|b:0.5|c:0.5 a|a:1.0 x|c:0.5|b:0.5 a|a:1.0 b|b:1.0\n"
     "a|a:1.0 a|a:1.0 x|b:0.5|c:0.5 a|a:1.0 x|c:0.6|b:0.4 x|b:0.5|a:0.5 a|a:1.0 b|b:1.0\n"
 )
+# plain sentences of fixtures/unbound.gr: each NP's residue holds a variable
+UNBOUND_SENTENCES = "x_AT y_VVZ\n" * 3
 
 
 def scale_grammar(rules: int, seed: int) -> str:
@@ -107,8 +111,8 @@ def write_inputs(gen: Path):
     SCALE_RULES-rule scale grammar of seed 5, a grammar whose unit
     derivations X -> Y -> X form a cycle, each MALFORMED grammar
     as <stem>.gr, the left-recursive chain S -> S 'a' with a treebank of
-    three short chains and a sentence of 2000 a's, and the WIDE grammar with
-    its sentences."""
+    three short chains and a sentence of 2000 a's, the WIDE grammar with
+    its sentences, and the UNBOUND_SENTENCES."""
     chain = "".join("A%d -> A%d ;\n" % (i, i + 1) for i in range(CHAIN_LINKS))
     (gen / "chain.gr").write_text("%%start A0\n%sA%d -> 'a' ;\n" % (chain, CHAIN_LINKS))
     (gen / "scale.gr").write_text(scale_grammar(SCALE_RULES, 5))
@@ -120,6 +124,7 @@ def write_inputs(gen: Path):
     (gen / "deep.txt").write_text(" ".join(["a|a:1.0"] * DEEP_TOKENS) + "\n")
     (gen / "wide.gr").write_text(WIDE)
     (gen / "wide.txt").write_text(WIDE_SENTENCES)
+    (gen / "unbound.txt").write_text(UNBOUND_SENTENCES)
 
 
 def invocations(gen: Path) -> list:
@@ -145,6 +150,7 @@ def invocations(gen: Path) -> list:
         ("seed-5 commas", FIX / "commatext.gr", pc / "comma.txt", []),
         ("seed-5 catalan", FIX / "catalan.gr", pc / "catalan.txt", []),
         ("wide rules", gen / "wide.gr", gen / "wide.txt", []),
+        ("unbound variables", FIX / "unbound.gr", gen / "unbound.txt", ["--plain"]),
     ]
     for name, g, path, extra in sentences:
         grammar = ["--grammar", g, *extra, path]

@@ -3,10 +3,12 @@
 The parser runs a graph-structured stack over the (possibly conflicting)
 LALR(1) table.  Reduce-time unification of rule residues prunes derivations;
 pruned derivations never enter the forest.  Forest nodes are keyed by
-(symbol, span, stack state beneath, residue signature, pending lookahead), a
-key fine enough that every complete derivation's probability decomposes
-exactly over the (state, lookahead, action) transitions recorded on its
-bundles, at the cost of somewhat less packing.
+(symbol, span, stack state beneath, residue, pending lookahead), a key fine
+enough that every complete derivation's probability decomposes exactly over
+the (state, lookahead, action) transitions recorded on its bundles, at the
+cost of somewhat less packing.  A node key holds the canonical residue
+(grammar.canonical_residue), its own signature.  Reduction lives in
+grammar.Residues, built once per grammar, whose memo every sentence shares.
 
 Multiple label hypotheses per token are handled by running the reduce
 closure once per pending label: reductions triggered under one hypothesis
@@ -47,15 +49,7 @@ from math import prod
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .grammar import (
-    END_MARKER,
-    Bindings,
-    Var,
-    rename_features,
-    residue_signature,
-    resolve_features,
-    unify,
-)
+from .grammar import END_MARKER, Residues
 from .lalr import LalrTable
 
 
@@ -209,7 +203,7 @@ def _bracket_tables(skeleton, n):
 def parse_lattice(
     lattice: SentenceLattice,
     table: LalrTable,
-    residues: dict,
+    residues: Residues,
     budget: Optional[float] = None,
     skeleton=None,
 ) -> ParseOutcome:
@@ -226,14 +220,9 @@ def parse_lattice(
     n = len(lattice)
     last_open, first_close = _bracket_tables(skeleton or (), n)
     rows = table.rows
-    featureless = {
-        index for index, spec in residues.items()
-        if not spec.mother.features and not any(d.features for d in spec.daughters)
-    }
-    # (production index, child residues) -> (mother, signature), or None when
-    # unification fails; only for variable-free residues, whose outcome
-    # depends on nothing else
-    residue_memo: dict = {}
+    featureless = residues.featureless
+    memo_get = residues.memo.get
+    reduce = residues.reduce
     root_bundles: list = []
     serials = iter(range(1 << 60))
     initial = _GssNode(table.start_state, 0, next(serials))
@@ -265,7 +254,7 @@ def parse_lattice(
             local: dict = {}
             # nodes: the forest nodes ending at j under this label, by lhs
             # and then by the GSS node beneath, or by (GSS node beneath,
-            # signature) when the signature is not empty; leaves: its
+            # residue) when the residue is not empty; leaves: its
             # leaves, keyed by the state shifted from.  j and label are
             # fixed, and the node beneath fixes start, serial and state, so
             # these keys pick a node as its full key does
@@ -313,21 +302,15 @@ def parse_lattice(
                     if goto is None:
                         continue
                     if featured:
-                        child_res = tuple(map(_residue, kids))
-                        memo_key = (index, child_res)
-                        reduced = residue_memo.get(memo_key, False)
-                        if reduced is False:
-                            reduced = _unify_residue(residues[index], child_res)
-                            if (reduced is None or not _has_var(reduced[0])) and not any(
-                                map(_has_var, child_res)
-                            ):
-                                residue_memo[memo_key] = reduced
-                        if reduced is None:
+                        key = (index, tuple(map(_residue, kids)))
+                        mother = memo_get(key, False)
+                        if mother is False:
+                            mother = reduce(key)
+                        if mother is None:
                             continue
-                        mother, sig = reduced
-                        nkey = (bottom, sig) if sig else bottom
+                        nkey = (bottom, mother) if mother else bottom
                     else:
-                        mother = sig = ()
+                        mother = ()
                         nkey = bottom
                     fnode = lhs_nodes.get(nkey)
                     if fnode is None:
@@ -336,7 +319,7 @@ def parse_lattice(
                         # closures have different continuations and must not
                         # be conflated.  Only a new forest node brings a new
                         # edge (see the module docstring)
-                        fkey = ("n", lhs, span_start, j, bottom.serial, bottom.state, sig, label)
+                        fkey = ("n", lhs, span_start, j, bottom.serial, bottom.state, mother, label)
                         fnode = lhs_nodes[nkey] = ForestNode(fkey, lhs, span_start, j, mother, [])
                         edge = (bottom, fnode)
                         cell = row.get(goto)
@@ -392,23 +375,6 @@ def parse_lattice(
     return ParseOutcome("ok", forest, "", time.process_time() - t0, n)
 
 
-def _unify_residue(spec, child_residues):
-    """Unify a production's residue spec with its children's residues:
-    (mother residue, signature), or None on a clash."""
-    bindings = Bindings()
-    mapping: dict = {}
-    for daughter, child_res in zip(spec.daughters, child_residues):
-        spec_feats = rename_features(daughter.features, mapping)
-        if unify(spec_feats, rename_features(child_res), bindings) is None:
-            return None
-    mother = resolve_features(rename_features(spec.mother.features, mapping), bindings)
-    return mother, residue_signature(mother)
-
-
-def _has_var(features) -> bool:
-    return any(isinstance(v, Var) for _, v in features)
-
-
 def _pop_paths(first_edge, arity):
     """The reduce paths of `arity` edges whose first step is first_edge, as
     (child forest nodes left to right, GSS node beneath), extended one edge
@@ -449,7 +415,7 @@ def _children_first(root):
 def constrained_parse(
     lattice: SentenceLattice,
     table: LalrTable,
-    residues: dict,
+    residues: Residues,
     skeleton,
     budget: Optional[float] = None,
 ) -> ParseOutcome:

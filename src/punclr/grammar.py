@@ -44,9 +44,10 @@ class _VarFields(NamedTuple):
 class Var(_VarFields):
     """A rule-scoped feature variable such as ?N.
 
-    Identity, not name, is what matters: instantiating a rule makes fresh
-    variables, so bindings never leak between reductions.  Var(name) takes
-    the next uid from a process-wide counter.
+    Var(name) takes the next uid from a process-wide counter, so the
+    variables a grammar file or rename_features makes are all distinct.
+    Residues in a forest hold canonical variables instead, Var("", n)
+    (canonical_residue), so that equal residues compare equal.
     """
 
     __slots__ = ()
@@ -227,17 +228,47 @@ def rename_features(features, mapping: Optional[dict] = None) -> tuple:
     return make_features(out)
 
 
-def residue_signature(features) -> tuple:
-    """Canonical form of a residue: variables numbered by first occurrence."""
+def canonical_residue(features) -> tuple:
+    """Features with their variables renamed Var("", 0), Var("", 1), ... by
+    first occurrence: shared by two residues exactly when they are equal up
+    to renaming variables, names ignored."""
     order: dict = {}
-    sig = []
-    for f, v in features:  # features are sorted by name already
-        if isinstance(v, Var):
-            num = order.setdefault(v, len(order))
-            sig.append((f, ("?", num)))
+    return tuple((f, order.setdefault(v, Var("", len(order))) if isinstance(v, Var) else v)
+                 for f, v in features)
+
+
+class Residues(dict):
+    """Production index -> ResidueSpec, built once per compiled grammar.
+    featureless: the productions whose spec has no feature, whose mother's
+    residue is ().  memo: (production index, canonical child residues) ->
+    the mother's canonical residue, or None on a clash; its keys range over
+    the productions and the canonical residues over the grammar's atoms, so
+    it is bounded by the grammar, not by the sentences it serves."""
+
+    __slots__ = ("featureless", "memo")
+
+    def __init__(self, specs: dict):
+        super().__init__(specs)
+        self.featureless = {
+            index for index, spec in specs.items()
+            if not spec.mother.features and not any(d.features for d in spec.daughters)
+        }
+        self.memo: dict = {}
+
+    def reduce(self, key):
+        """Fill and return memo[key]: unify each child, renamed apart, with its
+        daughter under one set of bindings; resolve the mother through them."""
+        index, children = key
+        spec = self[index]
+        bindings = Bindings()
+        mother = None
+        for daughter, child in zip(spec.daughters, children):
+            if unify(daughter.features, rename_features(child), bindings) is None:
+                break
         else:
-            sig.append((f, v))
-    return tuple(sig)
+            mother = canonical_residue(resolve_features(spec.mother.features, bindings))
+        self.memo[key] = mother
+        return mother
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +567,13 @@ def _freshen_rule(rule: Rule) -> Rule:
 
 
 def compile_backbone(grammar: Grammar):
-    """Project rule categories to bare names; return (CFBackbone, residues).
+    """Project rule categories to bare names; return (CFBackbone, Residues).
 
-    residues maps production index -> ResidueSpec.  The grammar must already
-    be Kleene-expanded.  Rejects grammars whose unit-derivation relation is
-    cyclic (those have infinitely ambiguous strings, which a counting parser
-    cannot represent) and grammars with a nonterminal that derives no
-    terminal string (its rules could never take part in a parse).
+    The grammar must already be Kleene-expanded.  Rejects grammars whose
+    unit-derivation relation is cyclic (those have infinitely ambiguous
+    strings, which a counting parser cannot represent) and grammars with a
+    nonterminal that derives no terminal string (its rules could never take
+    part in a parse).
     """
     productions = []
     residues = {}
@@ -564,7 +595,7 @@ def compile_backbone(grammar: Grammar):
             "nonterminals that derive no terminal string: %s"
             % ", ".join(repr(n) for n in sorted(unproductive))
         )
-    return backbone, residues
+    return backbone, Residues(residues)
 
 
 def least_closed(clauses, seed=()) -> set:

@@ -16,9 +16,9 @@ from punclr.grammar import (
     Bindings,
     CFBackbone,
     Production,
+    canonical_residue,
     expand_kleene,
     rename_features,
-    residue_signature,
     resolve_features,
     unify,
 )
@@ -31,7 +31,7 @@ def language_of_grammar(grammar, max_len):
     with_res = {}  # symbol -> list of (string, residue features)
 
     def add(sym, string, residue):
-        key = (string, residue_signature(residue))
+        key = (string, canonical_residue(residue))
         bucket = entries.setdefault(sym, set())
         if key in bucket:
             return False

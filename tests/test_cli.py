@@ -354,20 +354,30 @@ def test_parse_dump_forest_writes_files(capsys, tmp_path):
     assert "trans=" in dumps[0].read_text()
 
 
+# each NP's residue in unbound.gr holds a variable, whose dump must not
+# depend on --jobs or on the sentences parsed before
+DUMP_CASES = (
+    ("catalan.gr", "a|a:1.0 a|a:1.0\na|a:1.0 b|b:1.0\n" + "a|a:1.0 " * 5 + "\nb|b:1.0\n"
+     + "a|a:1.0 " * 7 + "\n", [], ["0", "2", "4"]),
+    ("unbound.gr", "x_AT y_VVZ\n" * 3, ["--plain"], ["0", "1", "2"]),
+)
+
+
 def test_parse_dump_forest_same_for_any_jobs(capsys, tmp_path):
-    sent = _tagged(tmp_path, "a|a:1.0 a|a:1.0\na|a:1.0 b|b:1.0\n"
-                             + "a|a:1.0 " * 5 + "\nb|b:1.0\n" + "a|a:1.0 " * 7 + "\n")
-    dumps = {}
-    for jobs in ("1", "2"):
-        out_dir = tmp_path / ("jobs" + jobs)
-        code, out, err = run(capsys, "parse", "--grammar", FIXTURES / "catalan.gr",
-                             "--jobs", jobs, "--format", "tsv", sent, "--dump-forest", out_dir)
-        assert code == 0, err
-        ok = [row.split("\t")[0] for row in out.splitlines()[1:] if "\tok\t" in row]
-        assert ok == ["0", "2", "4"]
-        dumps[jobs] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        assert sorted(dumps[jobs]) == ["sentence%03d.forest" % int(i) for i in ok]
-    assert dumps["1"] == dumps["2"]
+    for grammar, text, plain, ok_rows in DUMP_CASES:
+        sent = _tagged(tmp_path, text)
+        dumps = {}
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / grammar / ("jobs" + jobs)
+            code, out, err = run(capsys, "parse", "--grammar", FIXTURES / grammar, *plain,
+                                 "--jobs", jobs, "--format", "tsv", sent,
+                                 "--dump-forest", out_dir)
+            assert code == 0, err
+            ok = [row.split("\t")[0] for row in out.splitlines()[1:] if "\tok\t" in row]
+            assert ok == ok_rows
+            dumps[jobs] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            assert sorted(dumps[jobs]) == ["sentence%03d.forest" % int(i) for i in ok]
+        assert dumps["1"] == dumps["2"], grammar
 
 
 # two reduces share each cell after an 'a': their order once followed the

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -486,6 +487,46 @@ def test_forest_export_pinned(grammar):
             h.update(b"%d\n" % count_parses(outcome.forest))
             h.update(export_forest(outcome.forest).encode())
     assert h.hexdigest()[:16] == digest
+
+
+def _memo_corpus(grammar):
+    """A few dozen lattices for grammar, some of which fail to parse."""
+    if grammar in ("tagseq.gr", "integrated.gr"):
+        plain = [to_lattice(tokens)
+                 for tokens in read_tagged_file(FIXTURES / "tagged_plain.txt", plain=True)]
+        return _fixture_lattices("tagged_example.txt") * 3 + plain * 3
+    if grammar == "unbound.gr":
+        labels = [["AT", "VVZ"], ["AT"], ["VVZ", "AT"], ["AT", "AT", "VVZ"]]
+    else:
+        labels = _AGREE_PAIRS + [["NN1"], ["VVZ", "NN1"]]
+    return [lattice_from_labels(pair) for pair in labels * 3]
+
+
+@pytest.mark.parametrize("grammar", ["agree.gr", "agree_relaxed.gr", "integrated.gr",
+                                     "tagseq.gr", "unbound.gr"])
+def test_shared_residue_memo_changes_nothing(grammar):
+    """One Residues serves a shuffled corpus as a fresh compile per sentence
+    does: the same dumps and counts, and the oracle's counts.  A second pass
+    adds no memo entry: the memo is bounded by the grammar, not the input."""
+    lattices = _memo_corpus(grammar)
+    random.Random(0).shuffle(lattices)
+    _, backbone, residues, table = compile_fixture(grammar)
+
+    def parse(residues, lattice):
+        outcome = parse_lattice(lattice, table, residues)
+        if not outcome.ok:
+            return 0, ""
+        return count_parses(outcome.forest), export_forest(outcome.forest)
+
+    shared = [parse(residues, lattice) for lattice in lattices]
+    assert shared == [parse(compile_fixture(grammar)[2], lattice) for lattice in lattices]
+    for lattice, (count, _) in zip(lattices, shared):
+        labels = [[label for label, _ in tok.labels] for tok in lattice.tokens]
+        assert count == count_derivations(backbone, residues, labels)
+    assert any(count for count, _ in shared)
+    entries = len(residues.memo)
+    assert [parse(residues, lattice) for lattice in lattices] == shared
+    assert len(residues.memo) == entries
 
 
 @pytest.mark.parametrize("grammar", sorted(FOREST_PINS))

@@ -1,16 +1,17 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from punclr.grammar import (
     Bindings,
     GrammarError,
     Var,
+    canonical_residue,
     compile_backbone,
     compile_grammar,
     expand_kleene,
     make_features,
     parse_grammar_file,
-    residue_signature,
+    rename_features,
     unify,
 )
 from conftest import recursion_headroom, unit_chain_grammar
@@ -236,7 +237,7 @@ def feature_maps(draw):
 
 
 def canon(features):
-    return residue_signature(features) if features is not None else None
+    return canonical_residue(features) if features is not None else None
 
 
 @given(feature_maps(), feature_maps())
@@ -261,6 +262,41 @@ def test_unify_associative_up_to_renaming(a, b, c):
     left = seq(a, b, c)
     right = seq(b, c, a)
     assert canon(left) == canon(right)
+
+
+def same_up_to_renaming(a, b) -> bool:
+    """Whether one bijection between variables, names ignored, turns feature
+    tuple a into b."""
+    if [f for f, _ in a] != [f for f, _ in b]:
+        return False
+    forward, backward = {}, {}
+    for (_, x), (_, y) in zip(a, b):
+        if not isinstance(x, Var) or not isinstance(y, Var):
+            if x != y:
+                return False
+        elif forward.setdefault(x, y) != y or backward.setdefault(y, x) != x:
+            return False
+    return True
+
+
+@settings(derandomize=True, database=None)
+@given(feature_maps(), feature_maps(), st.sampled_from(["other", "renamed", "merged"]))
+def test_canonical_residue_is_equality_up_to_renaming(a, other, how):
+    """The canonical form is idempotent, unchanged by rename_features, and
+    shared by two residues exactly when they are equal up to renaming
+    variables, names ignored: the equality that packs forest nodes."""
+    variables = {v for _, v in a if isinstance(v, Var)}
+    if how == "renamed":  # new names too
+        b = rename_features(a, {v: Var("W%d" % v.uid) for v in variables})
+    elif how == "merged":  # every variable made one
+        b = rename_features(a, dict.fromkeys(variables, Var("W")))
+    else:
+        b = other
+    canonical = canonical_residue(a)
+    assert canonical_residue(canonical) == canonical
+    assert canonical_residue(rename_features(a)) == canonical
+    assert (canonical_residue(b) == canonical) == same_up_to_renaming(a, b)
+    assert [f for f, _ in canonical] == [f for f, _ in a]
 
 
 @given(feature_maps())
