@@ -109,6 +109,7 @@ def _parse_one(job):
 
 
 def _run_parses(args, lattices, artifacts, dump_dir=None):
+    """_parse_one's result per lattice, in input order as pool.map keeps it."""
     jobs = [(i, lat, args.timeout, dump_dir) for i, lat in enumerate(lattices)]
     if args.jobs > 1:
         # imported here: importing the pool costs every process about 40 ms
@@ -120,12 +121,9 @@ def _run_parses(args, lattices, artifacts, dump_dir=None):
             initializer=_init_worker,
             initargs=(args.grammar,),
         ) as pool:
-            results = list(pool.map(_parse_one, jobs))
-    else:
-        _WORKER_STATE["artifacts"] = artifacts
-        results = [_parse_one(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    return results
+            return list(pool.map(_parse_one, jobs))
+    _WORKER_STATE["artifacts"] = artifacts
+    return [_parse_one(j) for j in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +450,17 @@ def cmd_stats(args):
     return 0
 
 
-def ablation_curve(artifacts, train_trees, gold_trees, seeds=5, base_seed=0,
-                   sizes=None):
+def ablation_curve(artifacts, train_trees, gold_trees, seeds=5, base_seed=0):
     """Accuracy against training-set size, halving down to zero.
 
     The zero-size condition replaces ranking by a seeded random choice among
     all analyses.  Returns rows of (size, mean recall, mean precision)."""
-    if sizes is None:
-        sizes = []
-        size = len(train_trees)
-        while size >= 1:
-            sizes.append(size)
-            size //= 2
-        sizes.append(0)
+    sizes = []
+    size = len(train_trees)
+    while size >= 1:
+        sizes.append(size)
+        size //= 2
+    sizes.append(0)
     rows = []
     for size in sizes:
         recalls = []

@@ -53,10 +53,6 @@ class GeigReport(NamedTuple):
     recall: float
     precision: float
     sentences: int
-    matched: int
-    gold_total: int
-    candidate_total: int
-    rows: list  # (matched, gold, cand, crossings)
 
     def format(self) -> str:
         lines = [
@@ -87,25 +83,17 @@ def geig_report(pairs) -> GeigReport:
         raise ValueError("geig_report needs at least one sentence")
     matched = gold_total = cand_total = 0
     crossings = []
-    rows = []
     for cand, gold in pairs:
-        m = sum((Counter(cand.spans) & Counter(gold.spans)).values())
-        x = crossing_count(cand, gold)
-        matched += m
+        matched += sum((Counter(cand.spans) & Counter(gold.spans)).values())
         gold_total += len(gold.spans)
         cand_total += len(cand.spans)
-        crossings.append(x)
-        rows.append((m, len(gold.spans), len(cand.spans), x))
+        crossings.append(crossing_count(cand, gold))
     return GeigReport(
         zero_crossings=sum(1 for x in crossings if x == 0) / len(pairs),
         mean_crossings=sum(crossings) / len(pairs),
         recall=matched / gold_total if gold_total else 0.0,
         precision=matched / cand_total if cand_total else 0.0,
         sentences=len(pairs),
-        matched=matched,
-        gold_total=gold_total,
-        candidate_total=cand_total,
-        rows=rows,
     )
 
 

@@ -151,7 +151,6 @@ class ParseForest(NamedTuple):
     """
 
     nodes: dict
-    n_tokens: int
     table: LalrTable
 
     @property
@@ -168,7 +167,6 @@ class ParseOutcome(NamedTuple):
     forest: Optional[ParseForest] = None
     reason: str = ""
     cpu_seconds: float = 0.0
-    n_tokens: int = 0
 
     @property
     def ok(self):
@@ -232,10 +230,10 @@ def parse_lattice(
         return budget is not None and time.process_time() - t0 > budget
 
     def fail(reason):
-        return ParseOutcome("fail", None, reason, time.process_time() - t0, n)
+        return ParseOutcome("fail", None, reason, time.process_time() - t0)
 
     def timeout():
-        return ParseOutcome("timeout", None, "budget exhausted", time.process_time() - t0, n)
+        return ParseOutcome("timeout", None, "budget exhausted", time.process_time() - t0)
 
     clock = 1  # tasks left until the next clock read
     for j in range(n + 1):
@@ -371,8 +369,8 @@ def parse_lattice(
         return fail("no analysis spans the sentence")
 
     root = ForestNode(ROOT_KEY, "$root", 0, n, (), root_bundles)
-    forest = ParseForest(_children_first(root), n, table)
-    return ParseOutcome("ok", forest, "", time.process_time() - t0, n)
+    forest = ParseForest(_children_first(root), table)
+    return ParseOutcome("ok", forest, "", time.process_time() - t0)
 
 
 def _pop_paths(first_edge, arity):
@@ -417,11 +415,10 @@ def constrained_parse(
     table: LalrTable,
     residues: Residues,
     skeleton,
-    budget: Optional[float] = None,
 ) -> ParseOutcome:
     """parse_lattice restricted to derivations consistent with unlabelled
     bracket spans: no parser constituent may cross a skeleton bracket."""
-    return parse_lattice(lattice, table, residues, budget=budget, skeleton=skeleton)
+    return parse_lattice(lattice, table, residues, skeleton=skeleton)
 
 
 # ---------------------------------------------------------------------------

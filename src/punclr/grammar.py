@@ -91,12 +91,6 @@ class Rule(NamedTuple):
     daughters: tuple
     textual: bool = False
 
-    def variables(self) -> set:
-        out = set()
-        for cat in [self.mother] + [d.cat for d in self.daughters]:
-            out.update(v for _, v in cat.features if isinstance(v, Var))
-        return out
-
     def __str__(self):
         rhs = " ".join(
             str(d.cat) + {ONE: "", STAR: "*", PLUS: "+"}[d.rep]

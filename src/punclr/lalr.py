@@ -251,7 +251,7 @@ class ModelError(Exception):
 
 def read_records(path, kind: str, fields: dict, error=ValueError):
     """Yield (record name, converted values) for each line after the
-    "punclr-<kind> v1" header of a counts or model file.
+    "punclr-<kind> v1" header of a model file.
 
     fields maps a record name to its value converters, one per field.  A bad
     header or a malformed line raises error, with the line number.

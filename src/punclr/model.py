@@ -321,12 +321,13 @@ def rank_nbest(
 
     A score pass, children first, first keeps each node's best bottom-up
     score and the bundles that reach it.  For n = 1 the rule is then tried
-    before any entry past a node's best is built.  One walk over the
-    root's tie closure, the nodes its signature tie-breaks read, builds
-    their best entries and gives root entry 1's bottom-up score, summed as
-    lazy next would sum it; root entry 0 is rescored.  When the rule fires,
-    that entry is the answer.  Otherwise, and for n > 1, every node's best
-    entry is built in one loop and root entries are pulled.
+    before any entry past a node's best is built.  A preorder walk down
+    the best derivation stops at the first node whose bundles tie, where
+    the rule cannot fire.  Without a tie, the walk's nodes get their best
+    entries and, children first, second best scores summed as lazy next
+    would sum them; root entry 0 is rescored, and when the rule fires it
+    is the answer.  Otherwise, and for n > 1, every node's best entry is
+    built in one loop and root entries are pulled.
 
     budget, when given, is the CPU time in seconds ranking may take; past it
     RankTimeout is raised.
@@ -483,57 +484,57 @@ def rank_nbest(
     top_n = []  # min-heap of the n highest canonical scores so far
     if n == 1:
         # try the stop rule on root entry 1 before any entry past a best one
-        # is built.  One walk, children first on an explicit stack, covers
-        # the root's tie closure (the children of every bundle tied for a
-        # node's best, from the root down).  At each node it builds the best
-        # entry and keeps the second best score, the bottom-up score lazy
-        # next would give entry 1, summed in the same order, or -inf if there
-        # is none: the best score where bundles tie for it, otherwise the
-        # highest score of another bundle's first candidate or of the best
-        # bundle with one child at that child's second best
-        second = {}
+        # is built.  Where a node of the best derivation ties, entry 1 scores
+        # as entry 0 by the same sums and the rule cannot fire, so a preorder
+        # walk down the best derivation stops at the first tie
+        path = []  # its inner nodes
         stack = [root_node]
         while stack:
             clock -= 1
             if not clock:
                 clock = CLOCK_EVERY
                 check_budget()
-            node = stack[-1]
-            if type(node) is ForestLeaf:
-                second[node] = -math.inf
-            elif node not in second:
-                tied = ties[node]
-                missing = [child for i in tied for child in node.bundles[i][1]
-                           if child not in second]
-                if missing:
-                    stack += missing
-                    continue
-                build((node,))
-                if len(tied) > 1:
-                    runner = best[node]
-                else:
-                    bi = tied[0]
-                    runner = -math.inf
-                    for i, (_, children, transition) in enumerate(node.bundles):
-                        if i != bi:
-                            score = log_probs[transition]
-                            for child in children:
-                                score += best[child]
-                            if score > runner:
-                                runner = score
-                    _, children, transition = node.bundles[bi]
-                    for ci, child in enumerate(children):
-                        if second[child] > runner:  # else no sum through it can win
-                            score = log_probs[transition]
-                            for j, other in enumerate(children):
-                                score += second[other] if j == ci else best[other]
-                            if score > runner:
-                                runner = score
+            node = stack.pop()
+            if type(node) is not ForestLeaf:
+                if len(ties[node]) > 1:
+                    break
+                path.append(node)
+                stack += reversed(node.bundles[ties[node][0]][1])
+        else:
+            # children first, each node's best entry, then the score lazy next
+            # would sum for its entry 1, in the same order (-inf for a leaf):
+            # the best of another bundle's first candidate and of the best
+            # bundle with one child at that child's second best
+            path.reverse()
+            build(path)
+            second = {}
+            for node in path:
+                clock -= 1
+                if not clock:
+                    clock = CLOCK_EVERY
+                    check_budget()
+                (bi,) = ties[node]
+                runner = -math.inf
+                for i, (_, children, transition) in enumerate(node.bundles):
+                    if i != bi:
+                        score = log_probs[transition]
+                        for child in children:
+                            score += best[child]
+                        if score > runner:
+                            runner = score
+                _, children, transition = node.bundles[bi]
+                for ci, child in enumerate(children):
+                    child_second = second.get(child, -math.inf)
+                    if child_second > runner:  # else no sum through it can win
+                        score = log_probs[transition]
+                        for j, other in enumerate(children):
+                            score += child_second if j == ci else best[other]
+                        if score > runner:
+                            runner = score
                 second[node] = runner
-            stack.pop()
-        top_n.append(rescore(lists[root_node][0]))
-        if second[root_node] * shrink < top_n[0]:
-            return _analyses(rescored, n)
+            top_n.append(rescore(lists[root_node][0]))
+            if second[root_node] * shrink < top_n[0]:
+                return _analyses(rescored, n)
     build(forest.nodes.values())
     root = lists[root_node]
     for wanted in range(len(rescored), 2 * n + 16):

@@ -1,8 +1,7 @@
 """Parenthesis-nested treebank reading.
 
 One tree per line, labels optional: ``(S (NP the dog) (VP barks))`` or
-``((the dog) (barks))``.  A skeleton file is the same format with labels
-omitted; only the bracket shape matters there.
+``((NP the dog) (VP barks))``.
 """
 from __future__ import annotations
 
@@ -13,13 +12,12 @@ class TreebankError(ValueError):
     pass
 
 
-def parse_tree_line(line: str, labelled: bool = True) -> Tree:
+def parse_tree_line(line: str) -> Tree:
     """Parse one parenthesis tree.
 
-    In labelled mode an atom directly after '(' is the node label (a '('
-    there means the label was omitted); in unlabelled (skeleton) mode every
-    atom is a leaf.  Open constituents live on an explicit stack, so nesting
-    depth is not bounded by the interpreter's recursion limit.
+    An atom directly after '(' is the node label (a '(' there means the
+    label was omitted).  Open constituents live on an explicit stack, so
+    nesting depth is not bounded by the interpreter's recursion limit.
     """
     tokens = line.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
@@ -34,7 +32,7 @@ def parse_tree_line(line: str, labelled: bool = True) -> Tree:
         pos += 1
         if tok == "(":
             label = ""
-            if labelled and pos < len(tokens) and tokens[pos] not in ("(", ")"):
+            if pos < len(tokens) and tokens[pos] not in ("(", ")"):
                 label = tokens[pos]
                 pos += 1
             open_nodes.append((label, []))
@@ -57,7 +55,7 @@ def parse_tree_line(line: str, labelled: bool = True) -> Tree:
     return tree
 
 
-def read_treebank(path, labelled: bool = True):
+def read_treebank(path):
     """Yield (lineno, Tree) per non-empty line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -65,7 +63,7 @@ def read_treebank(path, labelled: bool = True):
             if not line or line.startswith("#"):
                 continue
             try:
-                yield lineno, parse_tree_line(line, labelled)
+                yield lineno, parse_tree_line(line)
             except TreebankError as exc:
                 raise TreebankError("line %d: %s" % (lineno, exc)) from None
 

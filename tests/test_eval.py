@@ -40,14 +40,6 @@ def test_parse_labelled_tree():
     assert internal_spans(t) == [(0, 3), (0, 2), (2, 3)]
 
 
-def test_parse_unlabelled_skeleton():
-    t = parse_tree_line("((the dog) (barks))", labelled=False)
-    assert t.label == ""
-    assert internal_spans(t) == [(0, 3), (0, 2), (2, 3)]
-    flat = parse_tree_line("(a b c)", labelled=False)
-    assert tree_leaves(flat) == ["a", "b", "c"]
-
-
 def test_tree_round_trip():
     text = "(S (NP the dog) (VP barks))"
     assert format_tree(parse_tree_line(text)) == text

@@ -1,8 +1,9 @@
 """Fuzz gate: mutated input files reach a one-line error, never a traceback.
 
-Each case mutates a fixture grammar by deleting spans, inserting syntax
-characters, duplicating spans and truncating, and runs the result through
-cli.main in process.
+Each case mutates a fixture file (a grammar, or a tagged input in either
+format) by deleting spans, inserting syntax characters, duplicating spans
+and truncating, and runs the result through cli.main in process, under
+every command that reads that kind of file.
 """
 import contextlib
 import io
@@ -16,14 +17,21 @@ from test_lalr import assert_reduces_equal_core_merge
 
 GRAMMARS = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.gr"))]
 SYNTAX = "()[]=?*+;:'|%#\n\0"
+# word|LABEL:prob and word_LABEL tokens: their separators, escapes, numbers
+# and the floats a likelihood must not be
+TAGGED_SYNTAX = st.one_of(
+    st.text("|:_\\ #\n\0.-e0123456789", min_size=1, max_size=3),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "2", "-0.5"]),
+)
 # truncating leaves few rules, so it is drawn least
 EDITS = ("delete", "insert", "duplicate") * 3 + ("truncate",)
 
 
 @st.composite
-def mutated_grammar(draw):
-    """A fixture grammar after one to four random edits."""
-    text = draw(st.sampled_from(GRAMMARS))
+def mutated(draw, texts, inserts):
+    """One of texts after one to four random edits, each insert drawn from
+    inserts."""
+    text = draw(st.sampled_from(texts))
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 12)))
@@ -31,12 +39,28 @@ def mutated_grammar(draw):
         if edit == "delete":
             text = text[:i] + text[j:]
         elif edit == "insert":
-            text = text[:i] + draw(st.text(SYNTAX, min_size=1, max_size=3)) + text[i:]
+            text = text[:i] + draw(inserts) + text[i:]
         elif edit == "duplicate":
             text = text[:j] + text[i:j] + text[j:]
         else:
             text = text[:i]
     return text
+
+
+def run_main(argv):
+    """cli.main(argv) in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_ok_or_one_error_line(code, err):
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2, (code, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture(scope="module")
@@ -45,18 +69,30 @@ def path(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(text=mutated_grammar())
+@given(text=mutated(GRAMMARS, st.text(SYNTAX, min_size=1, max_size=3)))
 def test_mutated_grammar_compiles_or_fails_on_one_line(path, text):
     # each grammar that compiles must give the core-merge oracle's table
     path.write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["compile", str(path)])
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = run_main(["compile", str(path)])
+    assert_ok_or_one_error_line(code, err)
     if code == 0:
-        assert err == "" and "table hash" in out
+        assert "table hash" in out
         _, backbone, _, table = cli.load_artifacts(path)
         assert_reduces_equal_core_merge(table, backbone)
-    else:
-        assert code == 2, (code, err)
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# the fixture inputs of each format, keyed by --plain
+TAGGED = {False: [(FIXTURES / "tagged_example.txt").read_text(encoding="utf-8")],
+          True: [(FIXTURES / "tagged_plain.txt").read_text(encoding="utf-8")]}
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["tagged", "plain"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_tagged_input_parses_or_fails_on_one_line(path, plain, data):
+    path.write_text(data.draw(mutated(TAGGED[plain], TAGGED_SYNTAX)), encoding="utf-8")
+    flags = ["--plain"] if plain else []
+    for command in ("parse", "stats"):
+        code, _, err = run_main(
+            [command, "--grammar", str(FIXTURES / "tagseq.gr"), *flags, str(path)])
+        assert_ok_or_one_error_line(code, err)

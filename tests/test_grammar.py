@@ -28,7 +28,8 @@ def test_parse_minimal_grammar():
     assert g.start == "S"
     assert g.terminals == {"NP", "VP"}
     rule = g.rules[0]
-    vs = rule.variables()
+    vs = {v for cat in [rule.mother] + [d.cat for d in rule.daughters]
+          for _, v in cat.features if isinstance(v, Var)}
     assert len(vs) == 1
     (v,) = vs
     assert v.name == "N"

@@ -432,23 +432,32 @@ def test_float_sums_of_nonpositive_terms_stay_within_gamma(terms, data):
         assert abs(Fraction(total) - exact) <= gamma * abs(exact)
 
 
+# a tie below a root that does not tie: X's two bundles both score 0.0
+TIED_BELOW = "%start S\nS -> X 'c' ;\nX -> A ;\nX -> B ;\nA -> 'a' ;\nB -> 'a' ;\n"
+
+
 def test_rank_ties_follow_signature_order():
-    """With probability 1.0 for every action every derivation scores 0.0,
-    so the ranking is pure signature order: rank_nbest(n) returns the n
-    smallest enumerated signatures.  a^8 and a^9 have more parses than the
-    2n+16 window holds."""
-    table, residues = setup_catalan()
-    certain = ProbModel(
-        {(s, l, a): 1.0 for (s, l), actions in table.actions.items() for a in actions},
-        {}, table.table_hash(),
-    )
-    for length in range(2, 10):
-        forest = parse(table, residues, ["a"] * length).forest
-        sigs = sorted(derivation_signature(d) for d in enumerate_derivations(forest))
-        for n in (1, 2, 3, 5, 10):
-            ranked = rank_nbest(forest, certain, n)
-            assert [flat_signature(a.signature) for a in ranked] == sigs[:n], (length, n)
-            assert [a.log_prob for a in ranked] == [0.0] * min(n, len(sigs))
+    """With probability 1.0 for every action every derivation scores 0.0
+    (score_derivation's sum of log 1.0), so the ranking is pure signature
+    order: rank_nbest(n) returns the n smallest enumerated signatures.
+    a^8 and a^9 have more parses than the 2n+16 window holds.  On a c under
+    TIED_BELOW the n = 1 walk down the best derivation stops at X, below
+    the root, and the answer comes from pulling root entries."""
+    backbone, residues = compile_grammar(parse_grammar_file(TIED_BELOW))
+    cases = [(setup_catalan(), [["a"] * length for length in range(2, 10)]),
+             ((build_lalr(backbone), residues), [["a", "c"]])]
+    for (table, residues), sentences in cases:
+        certain = ProbModel(
+            {(s, l, a): 1.0 for (s, l), actions in table.actions.items() for a in actions},
+            {}, table.table_hash(),
+        )
+        for labels in sentences:
+            forest = parse(table, residues, labels).forest
+            sigs = sorted(derivation_signature(d) for d in enumerate_derivations(forest))
+            for n in (1, 2, 3, 5, 10):
+                ranked = rank_nbest(forest, certain, n)
+                assert [flat_signature(a.signature) for a in ranked] == sigs[:n], (labels, n)
+                assert [a.log_prob for a in ranked] == [0.0] * min(n, len(sigs))
 
 
 def test_deep_tie_ranks_without_recursion():
