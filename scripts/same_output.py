@@ -11,8 +11,9 @@ read those, the inputs the script writes (a 750-link unit chain, a seeded
 with a unit cycle, six malformed grammars, the left-recursive chain
 S -> S 'a' with three training trees and one 2000-token sentence, a
 grammar of 4- and 5-daughter rules with nullable daughters between them,
-with five sentences of it, and three plain sentences of the fixture
-unbound.gr, whose forest residues hold a variable) and the working tree's
+with five sentences of it, three plain sentences of the fixture
+unbound.gr, whose forest residues hold a variable, and those copies of the
+rank models) and the working tree's
 fixtures, so only the code differs.  A fixed list of default-format
 invocations runs in each
 tree: compile (of the malformed grammars too, so the reader's error
@@ -29,7 +30,11 @@ catalan sentences, whose scores tie often.  Those sentences are also ranked
 (tsv --nbest 1, with and without --tag-likelihoods, tsv --nbest 10 and
 --nbest 50) with a model each tree trains from the seed-5 catalan rank
 treebank, since the benchmark's own rank models are trained once, by
-gen.py, with the working tree's code.  Each runs as `python -m punclr.cli`
+gen.py, with the working tree's code.  The seed-5 catalan and tagseq rank
+sentences are also ranked (tsv --nbest 10 and --nbest 50) under copies of
+their benchmark models with every prob record set to 0.5, where whole
+groups of analyses tie and the tie-break decides their order.  Each runs
+as `python -m punclr.cli`
 in a directory of its own, without writing bytecode and with
 PYTHONUNBUFFERED unset, so that stdout is block-buffered and flushed when the process ends: once in the
 base tree under PYTHONHASHSEED=1, and twice in the working tree, under
@@ -112,7 +117,9 @@ def write_inputs(gen: Path):
     derivations X -> Y -> X form a cycle, each MALFORMED grammar
     as <stem>.gr, the left-recursive chain S -> S 'a' with a treebank of
     three short chains and a sentence of 2000 a's, the WIDE grammar with
-    its sentences, and the UNBOUND_SENTENCES."""
+    its sentences, the UNBOUND_SENTENCES, and as <grammar>-halves.model
+    each seed-5 rank model with every prob record's probability set to
+    0.5."""
     chain = "".join("A%d -> A%d ;\n" % (i, i + 1) for i in range(CHAIN_LINKS))
     (gen / "chain.gr").write_text("%%start A0\n%sA%d -> 'a' ;\n" % (chain, CHAIN_LINKS))
     (gen / "scale.gr").write_text(scale_grammar(SCALE_RULES, 5))
@@ -125,6 +132,11 @@ def write_inputs(gen: Path):
     (gen / "wide.gr").write_text(WIDE)
     (gen / "wide.txt").write_text(WIDE_SENTENCES)
     (gen / "unbound.txt").write_text(UNBOUND_SENTENCES)
+    for g in ("catalan", "tagseq"):
+        lines = (gen / "rank-nbest" / (g + ".model")).read_text().splitlines()
+        (gen / (g + "-halves.model")).write_text("".join(
+            "%s 0.5\n" % line.rsplit(" ", 1)[0] if line.startswith("prob ") else line + "\n"
+            for line in lines))
 
 
 def invocations(gen: Path) -> list:
@@ -213,6 +225,13 @@ def invocations(gen: Path) -> list:
                 [*trained, "--nbest", "10", "--format", "tsv"]))
     out.append(("rank --nbest 50 seed-5 catalan, trained in tree",
                 [*trained, "--nbest", "50"]))
+    for g in ("catalan", "tagseq"):
+        halves = ["rank", "--grammar", FIX / (g + ".gr"), "--model",
+                  gen / (g + "-halves.model"), rn / (g + ".txt")]
+        out.append(("rank --nbest 10 --format tsv seed-5 %s, every prob 0.5" % g,
+                    [*halves, "--nbest", "10", "--format", "tsv"]))
+        out.append(("rank --nbest 50 seed-5 %s, every prob 0.5" % g,
+                    [*halves, "--nbest", "50"]))
     for name, g, model, gold in (
         ("fixture catalan", "catalan", "../train fixture catalan/model",
          FIX / "catalan_test.tb"),

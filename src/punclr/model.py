@@ -244,7 +244,7 @@ class RankTimeout(Exception):
 class _Signature:
     """A derivation signature's nested form, (("p", production), child's
     nested form, ...) or (("t", label),), for the comparisons that cannot
-    catch a RecursionError themselves (heap pushes and sorts).  A nested
+    catch a RecursionError themselves (min and sort keys).  A nested
     form is O(arity) to build, where the flat preorder costs O(subtree).  A
     preorder whose productions fix their arity is prefix-free, so nested
     forms compare as the flat ones do.  Past the depth a comparison may
@@ -326,8 +326,13 @@ def rank_nbest(
     the rule cannot fire.  Without a tie, the walk's nodes get their best
     entries and, children first, second best scores summed as lazy next
     would sum them; root entry 0 is rescored, and when the rule fires it
-    is the answer.  Otherwise, and for n > 1, every node's best entry is
-    built in one loop and root entries are pulled.
+    is the answer.  Otherwise, and for n > 1, root entries are pulled.
+
+    Entries are built only where the pulls reach.  A heap candidate is its
+    score, bundle and child ranks alone.  Its signature is made only when
+    it ties in score with the heap's top, and its entry only when it is
+    popped.  A node's best entry is built when first wanted, after those
+    of its tied bundles' children, whose signatures break the tie.
 
     budget, when given, is the CPU time in seconds ranking may take; past it
     RankTimeout is raised.
@@ -351,13 +356,16 @@ def rank_nbest(
     best: dict = {}
     ties: dict = {}
     # per node: the entries ranked so far as (score, nested signature,
-    # bundle index, child ranks, derivation); from the first time a second
-    # entry is wanted, also the candidate heap of the same tuples with the
-    # score negated and the signature a _Signature, and the (bundle, ranks)
-    # pairs ever pushed.  All are keyed on the node objects.
+    # bundle index, child ranks, derivation), from the first time one is
+    # wanted; from the first time a second entry is wanted, also the
+    # candidate heap of (negated score, bundle index, child ranks); and,
+    # keyed (bundle, ranks), each candidate ever pushed or compared, with
+    # its _Signature from the first comparison until it leaves the heap
+    # (None outside that), so that each is flattened at most once.  All
+    # are keyed on the node objects.
     lists: dict = {}
     heaps: dict = {}
-    pushed: dict = {}
+    holders: dict = {}
     exhausted: set = set()  # nodes with no further entries
 
     # the score pass.  A bundle's score is its own log probability, then
@@ -394,70 +402,114 @@ def rank_nbest(
         best[node] = top
         ties[node] = tied
 
-    def build(nodes):
-        """The best entry of each of nodes that has none yet, in that order,
-        from its children's: the tied bundle with the smallest signature,
-        the lowest index among equal signatures, as a heap of all first
-        candidates would pop it.  Tied signatures compare as plain tuples,
-        in C, or as flat preorders when that comparison would recurse too
-        deep."""
-        clock = CLOCK_EVERY
-        for node in nodes:
+    def holder(node, bi, ranks):
+        """The _Signature of node's candidate (bi, ranks), made once: the
+        children's entries at ranks must exist."""
+        sigs = holders.setdefault(node, {})
+        sig = sigs.get((bi, ranks))
+        if sig is None:
+            production, children, _ = node.bundles[bi]
+            sig = sigs[bi, ranks] = _Signature((("p", production), *[
+                lists[child][r][1] for child, r in zip(children, ranks)]))
+        return sig
+
+    def ensure(node):
+        """Give node its best entry, if it has none, after those of its tied
+        bundles' children, on an explicit stack: the tied bundle whose first
+        candidate has the smallest signature, the lowest index among equal
+        signatures, as a heap of all first candidates would pop it."""
+        nonlocal clock
+        stack = [node]
+        while stack:
+            node = stack[-1]
+            if node in lists:
+                stack.pop()
+                continue
+            bundles = node.bundles
+            tied = ties[node]
+            waiting = len(stack)
+            for i in tied:
+                for child in bundles[i][1]:
+                    if child not in lists:
+                        stack.append(child)
+            if len(stack) > waiting:
+                continue
+            stack.pop()
             clock -= 1
             if not clock:
                 clock = CLOCK_EVERY
                 check_budget()
-            if node in lists:
-                continue
-            bundles = node.bundles
-            tied = [((("p", bundles[i][0]), *[lists[child][0][1] for child in bundles[i][1]]),
-                     i) for i in ties[node]]
             if len(tied) == 1:
-                sig, bi = tied[0]
+                (bi,) = tied
             else:
-                try:
-                    sig, bi = min(tied)
-                except RecursionError:
-                    sig, bi = min(tied, key=lambda e: _preorder(e[0]))
-            children = bundles[bi][1]
-            lists[node] = [(best[node], sig, bi, (0,) * len(children),
-                            (node, bi, tuple([lists[child][0][4] for child in children])))]
+                bi = min(tied, key=lambda i: holder(node, i, (0,) * len(bundles[i][1])))
+            ranks = (0,) * len(bundles[bi][1])
+            # no longer a candidate: its flat form, if any, may go
+            sig = holders[node].pop((bi, ranks)) if len(tied) > 1 else None
+            lists[node] = [_entry(node, best[node], bi, ranks, lists, sig)]
 
     def push(node, bi, ranks):
-        """Push the entry of bundle bi over the children's entries at ranks,
-        unless pushed before or a child has no entry at its rank."""
-        if (bi, ranks) in pushed[node]:
+        """Push the candidate of bundle bi over the children's entries at
+        ranks, unless pushed before or a child has no entry at its rank."""
+        sigs = holders[node]
+        if (bi, ranks) in sigs:
             return
-        pushed[node].add((bi, ranks))
-        production, children, transition = node.bundles[bi]
+        sigs[bi, ranks] = None
+        _, children, transition = node.bundles[bi]
         score = log_probs[transition]
-        sig = [("p", production)]
-        derivs = []
         for child, r in zip(children, ranks):
-            if r >= len(lists[child]):
+            entries = lists[child]
+            if r >= len(entries):
                 return
-            cs, csig, _, _, cd = lists[child][r]
-            score += cs
-            sig.append(csig)
-            derivs.append(cd)
-        heapq.heappush(heaps[node], (-score, _Signature(tuple(sig)), bi, ranks,
-                                     (node, bi, tuple(derivs))))
+            score += entries[r][0]
+        heapq.heappush(heaps[node], (-score, bi, ranks))
 
     def pop(node):
-        if heaps[node]:
-            negscore, sig, bi, ranks, deriv = heapq.heappop(heaps[node])
-            lists[node].append((-negscore, sig.nested, bi, ranks, deriv))
-        else:
+        """Append node's next entry: of the candidates with the highest
+        score, the one with the smallest (signature, bundle, ranks), as one
+        heap of those keys would pop it.  Signatures are compared only among
+        equal scores; the candidates that lose go back on the heap."""
+        heap = heaps[node]
+        if not heap:
             exhausted.add(node)
+            return
+        negscore, bi, ranks = top = heapq.heappop(heap)
+        group = [top]
+        while heap and heap[0][0] == negscore:
+            group.append(heapq.heappop(heap))
+        for _, i, rs in group:
+            for child, r in zip(node.bundles[i][1], rs):
+                if not r and child not in lists:
+                    ensure(child)
+        if len(group) > 1:
+            # popped in (bundle, ranks) order, so min keeps the lowest of
+            # equal signatures
+            _, bi, ranks = top = min(group, key=lambda c: holder(node, c[1], c[2]))
+            for c in group:
+                if c is not top:
+                    heapq.heappush(heap, c)
+        sigs = holders[node]
+        sig = sigs[bi, ranks]
+        sigs[bi, ranks] = None  # popped for good: its flat form, if any, may go
+        lists[node].append(_entry(node, -negscore, bi, ranks, lists, sig))
 
     def start_heap(node):
         """node's candidate heap as it stands once its best entry is taken:
-        the first candidate of every other bundle."""
-        _, _, best_bi, best_ranks, _ = lists[node][0]
-        heaps[node] = []
-        pushed[node] = {(best_bi, best_ranks)}
-        for bi, (_, children, _) in enumerate(node.bundles):
-            push(node, bi, (0,) * len(children))
+        the first candidate of every other bundle, scored as the score pass
+        scored its bundle."""
+        best_bi = lists[node][0][2]
+        heap = []
+        sigs = holders.setdefault(node, {})
+        for bi, (_, children, transition) in enumerate(node.bundles):
+            ranks = (0,) * len(children)
+            sigs.setdefault((bi, ranks))
+            if bi != best_bi:
+                score = log_probs[transition]
+                for child in children:
+                    score += best[child]
+                heap.append((-score, bi, ranks))
+        heapq.heapify(heap)
+        heaps[node] = heap
 
     rescored = []  # (canonical score, _Signature, derivation) per root entry
 
@@ -501,12 +553,11 @@ def rank_nbest(
                 path.append(node)
                 stack += reversed(node.bundles[ties[node][0]][1])
         else:
-            # children first, each node's best entry, then the score lazy next
-            # would sum for its entry 1, in the same order (-inf for a leaf):
+            # children first, the score lazy next would sum for each node's
+            # entry 1, in the same order (-inf for a leaf):
             # the best of another bundle's first candidate and of the best
             # bundle with one child at that child's second best
             path.reverse()
-            build(path)
             second = {}
             for node in path:
                 clock -= 1
@@ -532,10 +583,11 @@ def rank_nbest(
                         if score > runner:
                             runner = score
                 second[node] = runner
+            ensure(root_node)  # and so every node of path
             top_n.append(rescore(lists[root_node][0]))
             if second[root_node] * shrink < top_n[0]:
                 return _analyses(rescored, n)
-    build(forest.nodes.values())
+    ensure(root_node)
     root = lists[root_node]
     for wanted in range(len(rescored), 2 * n + 16):
         # root entry `wanted` by Huang & Chiang's lazy next on an explicit
@@ -574,6 +626,17 @@ def rank_nbest(
         else:
             heapq.heappushpop(top_n, canonical)
     return _analyses(rescored, n)
+
+
+def _entry(node, score, bi, ranks, lists, sig) -> tuple:
+    """node's entry of bundle bi over its children's entries at ranks, as
+    rank_nbest lists it: (score, nested signature, bi, ranks, derivation).
+    sig is the candidate's _Signature, if it was made, whose nested form
+    the entry shares."""
+    production, children, _ = node.bundles[bi]
+    below = [lists[child][r] for child, r in zip(children, ranks)]
+    nested = sig.nested if sig is not None else (("p", production), *[e[1] for e in below])
+    return score, nested, bi, ranks, (node, bi, tuple([e[4] for e in below]))
 
 
 def _analyses(rescored, n) -> list:

@@ -4,11 +4,15 @@ Everything here is deliberately naive: bounded-length language generation by
 fixpoint iteration, and chart-style derivation enumeration with explicit
 feature checking.  These never touch the LR table or the forest code, so they
 can stand as a second route for the properties the suite checks.
+eager_rank_nbest is the exception: the forest ranking that rank_nbest
+replaced, kept unchanged so that the two can be compared row for row.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import time
 
 from punclr.grammar import (
     ONE,
@@ -22,6 +26,10 @@ from punclr.grammar import (
     resolve_features,
     unify,
 )
+from punclr.glr import CLOCK_EVERY, ForestLeaf, derivation_postorder
+from punclr.lalr import ModelError
+from punclr.model import (RankTimeout, _analyses, _leaf_likelihood_sum, _preorder,
+                          _Signature)
 
 
 def language_of_grammar(grammar, max_len):
@@ -583,3 +591,291 @@ def children_first(root):
             pending.reverse()
             stack.extend(pending)
     return order
+
+
+def eager_rank_nbest(
+    forest: ParseForest,
+    model: ProbModel,
+    n: int,
+    include_tag_likelihoods: bool = False,
+    budget: Optional[float] = None,
+) -> list:
+    """punclr.model.rank_nbest as it stood before best entries were built on
+    demand, kept unchanged as the reference the lazy one is tested against:
+    every node's best entry is built before any pull, and a candidate goes
+    on its heap with its _Signature and derivation.
+
+    The n most probable analyses, exactly.
+
+    Packing keys include state, residue, and pending lookahead, so the score
+    of a subderivation is context-free within the forest and a lazy k-best
+    over the bundle DAG is exact.  Root entries are pulled one at a time, at
+    most 2n+16, each re-scored on arrival along its canonical transition
+    sequence (the post-order sum()); the answer is their top n by that
+    score, ties broken on the lexicographic derivation signature.
+
+    Pulling stops early once no later root entry can place.  Every term is
+    a log probability, at most 0, so any float sum of K terms lies within
+    gamma |S| of their exact sum S, gamma = K u / (1 - K u), u = 2^-53
+    (Higham 1993): an entry's bottom-up and canonical scores both do.  Root
+    entries come in non-increasing bottom-up score, float addition being
+    monotone.  So once the next one's bottom-up score b has b (1 - gamma) /
+    (1 + gamma) below c, the n-th best canonical score so far, every later
+    entry scores below c, too low to reach the signature tie-break.  On
+    near-ties the rule does not fire and the 2n+16 cap applies as before.
+
+    A score pass, children first, first keeps each node's best bottom-up
+    score and the bundles that reach it.  For n = 1 the rule is then tried
+    before any entry past a node's best is built.  A preorder walk down
+    the best derivation stops at the first node whose bundles tie, where
+    the rule cannot fire.  Without a tie, the walk's nodes get their best
+    entries and, children first, second best scores summed as lazy next
+    would sum them; root entry 0 is rescored, and when the rule fires it
+    is the answer.  Otherwise, and for n > 1, every node's best entry is
+    built in one loop and root entries are pulled.
+
+    budget, when given, is the CPU time in seconds ranking may take; past it
+    RankTimeout is raised.
+    """
+    t0 = time.process_time()
+    if n < 1:
+        raise ValueError("n must be positive")
+    if model.table_hash and model.table_hash != forest.table_hash:
+        raise ModelError(
+            "model trained against table %s but forest built with %s"
+            % (model.table_hash, forest.table_hash)
+        )
+
+    def check_budget():
+        if budget is not None and time.process_time() - t0 > budget:
+            raise RankTimeout("budget exhausted")
+
+    log_probs: dict = {}  # transition -> log probability, each computed once
+    # per node: its best bottom-up score and the indices of the bundles
+    # that reach it
+    best: dict = {}
+    ties: dict = {}
+    # per node: the entries ranked so far as (score, nested signature,
+    # bundle index, child ranks, derivation); from the first time a second
+    # entry is wanted, also the candidate heap of the same tuples with the
+    # score negated and the signature a _Signature, and the (bundle, ranks)
+    # pairs ever pushed.  All are keyed on the node objects.
+    lists: dict = {}
+    heaps: dict = {}
+    pushed: dict = {}
+    exhausted: set = set()  # nodes with no further entries
+
+    # the score pass.  A bundle's score is its own log probability, then
+    # each child's best score, added in that order, as push adds them
+    clock = 1  # steps left until the next clock read
+    for node in forest.nodes.values():
+        clock -= 1
+        if not clock:
+            clock = CLOCK_EVERY
+            check_budget()
+        if type(node) is ForestLeaf:
+            score = log_probs.get(node.transition)
+            if score is None:
+                score = log_probs[node.transition] = math.log(model.prob(*node.transition))
+            if include_tag_likelihoods:
+                score += math.log(node.likelihood)
+            best[node] = score
+            lists[node] = [(score, (("t", node.label),), None, (), (node, None, ()))]
+            exhausted.add(node)
+            continue
+        top = -math.inf
+        tied = []
+        for i, (_, children, transition) in enumerate(node.bundles):
+            score = log_probs.get(transition)
+            if score is None:
+                score = log_probs[transition] = math.log(model.prob(*transition))
+            for child in children:
+                score += best[child]
+            if score > top:
+                top = score
+                tied = [i]
+            elif score == top:
+                tied.append(i)
+        best[node] = top
+        ties[node] = tied
+
+    def build(nodes):
+        """The best entry of each of nodes that has none yet, in that order,
+        from its children's: the tied bundle with the smallest signature,
+        the lowest index among equal signatures, as a heap of all first
+        candidates would pop it.  Tied signatures compare as plain tuples,
+        in C, or as flat preorders when that comparison would recurse too
+        deep."""
+        clock = CLOCK_EVERY
+        for node in nodes:
+            clock -= 1
+            if not clock:
+                clock = CLOCK_EVERY
+                check_budget()
+            if node in lists:
+                continue
+            bundles = node.bundles
+            tied = [((("p", bundles[i][0]), *[lists[child][0][1] for child in bundles[i][1]]),
+                     i) for i in ties[node]]
+            if len(tied) == 1:
+                sig, bi = tied[0]
+            else:
+                try:
+                    sig, bi = min(tied)
+                except RecursionError:
+                    sig, bi = min(tied, key=lambda e: _preorder(e[0]))
+            children = bundles[bi][1]
+            lists[node] = [(best[node], sig, bi, (0,) * len(children),
+                            (node, bi, tuple([lists[child][0][4] for child in children])))]
+
+    def push(node, bi, ranks):
+        """Push the entry of bundle bi over the children's entries at ranks,
+        unless pushed before or a child has no entry at its rank."""
+        if (bi, ranks) in pushed[node]:
+            return
+        pushed[node].add((bi, ranks))
+        production, children, transition = node.bundles[bi]
+        score = log_probs[transition]
+        sig = [("p", production)]
+        derivs = []
+        for child, r in zip(children, ranks):
+            if r >= len(lists[child]):
+                return
+            cs, csig, _, _, cd = lists[child][r]
+            score += cs
+            sig.append(csig)
+            derivs.append(cd)
+        heapq.heappush(heaps[node], (-score, _Signature(tuple(sig)), bi, ranks,
+                                     (node, bi, tuple(derivs))))
+
+    def pop(node):
+        if heaps[node]:
+            negscore, sig, bi, ranks, deriv = heapq.heappop(heaps[node])
+            lists[node].append((-negscore, sig.nested, bi, ranks, deriv))
+        else:
+            exhausted.add(node)
+
+    def start_heap(node):
+        """node's candidate heap as it stands once its best entry is taken:
+        the first candidate of every other bundle."""
+        _, _, best_bi, best_ranks, _ = lists[node][0]
+        heaps[node] = []
+        pushed[node] = {(best_bi, best_ranks)}
+        for bi, (_, children, _) in enumerate(node.bundles):
+            push(node, bi, (0,) * len(children))
+
+    rescored = []  # (canonical score, _Signature, derivation) per root entry
+
+    def rescore(entry) -> float:
+        """Add a root entry to rescored with its canonical score, the log
+        probabilities of derivation_transitions(deriv) summed in that order,
+        and return that score."""
+        _, sig, _, _, deriv = entry
+        order = derivation_postorder(deriv)
+        canonical = sum([log_probs[node.transition if bi is None else node.bundles[bi][2]]
+                         for node, bi, _ in order])
+        if include_tag_likelihoods:
+            canonical += _leaf_likelihood_sum(order)
+        rescored.append((canonical, _Signature(sig), deriv))
+        return canonical
+
+    # K: a derivation has at most one transition per node and one tag
+    # likelihood per leaf; 8 spare terms raise the threshold by about
+    # 16u|b|, more than the 4u|b| its own rounding can take off
+    k = 2 * len(forest.nodes) + 8
+    gamma = k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+    shrink = (1 - gamma) / (1 + gamma)
+    root_node = forest.root
+    top_n = []  # min-heap of the n highest canonical scores so far
+    if n == 1:
+        # try the stop rule on root entry 1 before any entry past a best one
+        # is built.  Where a node of the best derivation ties, entry 1 scores
+        # as entry 0 by the same sums and the rule cannot fire, so a preorder
+        # walk down the best derivation stops at the first tie
+        path = []  # its inner nodes
+        stack = [root_node]
+        while stack:
+            clock -= 1
+            if not clock:
+                clock = CLOCK_EVERY
+                check_budget()
+            node = stack.pop()
+            if type(node) is not ForestLeaf:
+                if len(ties[node]) > 1:
+                    break
+                path.append(node)
+                stack += reversed(node.bundles[ties[node][0]][1])
+        else:
+            # children first, each node's best entry, then the score lazy next
+            # would sum for its entry 1, in the same order (-inf for a leaf):
+            # the best of another bundle's first candidate and of the best
+            # bundle with one child at that child's second best
+            path.reverse()
+            build(path)
+            second = {}
+            for node in path:
+                clock -= 1
+                if not clock:
+                    clock = CLOCK_EVERY
+                    check_budget()
+                (bi,) = ties[node]
+                runner = -math.inf
+                for i, (_, children, transition) in enumerate(node.bundles):
+                    if i != bi:
+                        score = log_probs[transition]
+                        for child in children:
+                            score += best[child]
+                        if score > runner:
+                            runner = score
+                _, children, transition = node.bundles[bi]
+                for ci, child in enumerate(children):
+                    child_second = second.get(child, -math.inf)
+                    if child_second > runner:  # else no sum through it can win
+                        score = log_probs[transition]
+                        for j, other in enumerate(children):
+                            score += child_second if j == ci else best[other]
+                        if score > runner:
+                            runner = score
+                second[node] = runner
+            top_n.append(rescore(lists[root_node][0]))
+            if second[root_node] * shrink < top_n[0]:
+                return _analyses(rescored, n)
+    build(forest.nodes.values())
+    root = lists[root_node]
+    for wanted in range(len(rescored), 2 * n + 16):
+        # root entry `wanted` by Huang & Chiang's lazy next on an explicit
+        # stack of (node, rank wanted): a node's next entry is popped right
+        # after the successors of its last entry are pushed, and each
+        # successor may first need one more entry of a child
+        stack = [(root_node, wanted)]
+        while stack:
+            clock -= 1
+            if not clock:
+                clock = CLOCK_EVERY
+                check_budget()
+            node, rank = stack[-1]
+            if rank < len(lists[node]) or node in exhausted:
+                stack.pop()
+                continue
+            _, _, bi, ranks, _ = lists[node][-1]
+            children = node.bundles[bi][1]
+            for child, r in zip(children, ranks):
+                if r + 1 >= len(lists[child]) and child not in exhausted:
+                    stack.append((child, r + 1))
+                    break
+            else:
+                if node not in heaps:
+                    start_heap(node)
+                for ci in range(len(ranks)):
+                    push(node, bi, ranks[:ci] + (ranks[ci] + 1,) + ranks[ci + 1:])
+                pop(node)
+        if wanted == len(root):
+            break
+        if len(top_n) == n and root[wanted][0] * shrink < top_n[0]:
+            break  # no later root entry can place
+        canonical = rescore(root[wanted])
+        if len(top_n) < n:
+            heapq.heappush(top_n, canonical)
+        else:
+            heapq.heappushpop(top_n, canonical)
+    return _analyses(rescored, n)

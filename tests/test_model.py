@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -47,6 +48,7 @@ from punclr.trees import format_tree, parse_tree_line, read_treebank, tree_leave
 
 from oracles import (
     derivation_signature,
+    eager_rank_nbest,
     flat_signature,
     leaf_likelihood_sum,
     score_derivation,
@@ -508,9 +510,9 @@ def test_deep_tie_fallback_flattens_each_signature_once(monkeypatch):
     under probability 1.0 and whose signatures first differ deep in L's
     chain.  With the recursion limit 150 frames up, the seeding pass, S's
     candidate heap and the final sort compare flat preorders, and however
-    often a signature is compared, it is flattened once: no object reaches
-    _preorder twice.  The ranking is still the enumeration's signature
-    order."""
+    often a candidate's signature is compared, it is flattened once: no
+    flat preorder is made twice, whichever object it is made from.  The
+    ranking is still the enumeration's signature order."""
     grammar = "%start S\nS -> L R ;\nL -> L 'a' ;\nL -> 'a' ;\nR -> 'a' R ;\nR -> 'a' ;\n"
     backbone, residues = compile_grammar(parse_grammar_file(grammar))
     table = build_lalr(backbone)
@@ -521,18 +523,19 @@ def test_deep_tie_fallback_flattens_each_signature_once(monkeypatch):
     )
     sigs = sorted(derivation_signature(d) for d in enumerate_derivations(forest))
     assert len(sigs) == 399
-    flattened = []  # held, so no two of them share an id
+    flattened = collections.Counter()  # flat preorder -> times made
     preorder = model_module._preorder
 
     def counted(nested):
-        flattened.append(nested)
-        return preorder(nested)
+        flat = preorder(nested)
+        flattened[flat] += 1
+        return flat
 
     monkeypatch.setattr(model_module, "_preorder", counted)
     with recursion_headroom(150):
         ranked = rank_nbest(forest, certain, 3)
-    assert len(flattened) > 399  # the seeding pass's tie-break and more
-    assert len({id(nested) for nested in flattened}) == len(flattened)
+    assert len(flattened) >= 399  # S's 399 tied candidates, and the sort's
+    assert set(flattened.values()) == {1}
     assert [flat_signature(a.signature) for a in ranked] == sigs[:3]
 
 
@@ -712,6 +715,84 @@ def test_rank_rows_pinned_on_ties(kind):
                                   % (length, n, a.rank, a.log_prob,
                                      flat_signature(a.signature)))
     assert digest.hexdigest() == RANK_ROW_PINS[kind]
+
+
+def rank_rows(ranked) -> list:
+    """(rank, %r log-prob, flat signature, rendered tree) per analysis."""
+    return [(a.rank, "%r" % a.log_prob, flat_signature(a.signature), format_tree(a.tree))
+            for a in ranked]
+
+
+REPEATED = (0.5, 0.25, 0.125)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rank_rows_equal_eager_ranking_under_repeated_probabilities(data):
+    """rank_nbest builds best entries only where its pulls reach, and makes
+    a candidate's signature only when it ties in score.  eager_rank_nbest,
+    the ranking it replaced, built every best entry first and pushed each
+    candidate with its signature.  Under models that give every action
+    0.5, 0.25 or 0.125, on lattices whose tag likelihoods are drawn from
+    the same values, scores tie often and ties decide the pop order: both
+    give the same rows at n = 1, 3, 10 and 50, with and without tag
+    likelihoods."""
+    grammar = data.draw(st.sampled_from(["catalan.gr", "commatext.gr", "tagseq.gr",
+                                         "two-way"]))
+    if grammar == "two-way":
+        backbone, residues = compile_grammar(parse_grammar_file(TWO_WAY))
+        table = build_lalr(backbone)
+        firsts = data.draw(st.lists(st.sampled_from("xy"), min_size=1, max_size=5))
+    else:
+        _, backbone, residues, table = compile_fixture(grammar)
+        if grammar == "catalan.gr":
+            firsts = ["a"] * data.draw(st.integers(1, 8))
+        elif grammar == "commatext.gr":
+            firsts = ["W"] + [",", "W"] * data.draw(st.integers(0, 4))
+        else:
+            firsts = data.draw(st.sampled_from(TAGSEQ_SENTENCES))
+    tokens = []
+    for i, first in enumerate(firsts):
+        labels = [(first, data.draw(st.sampled_from(REPEATED)))]
+        others = sorted(backbone.terminals - {first})
+        if others and data.draw(st.booleans()):
+            labels.append((data.draw(st.sampled_from(others)),
+                           data.draw(st.sampled_from(REPEATED))))
+        tokens.append(Token("w%d" % i, i, tuple(sorted(labels, key=lambda h: -h[1]))))
+    forest = parse_lattice(SentenceLattice(tuple(tokens)), table, residues).forest
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    model = ProbModel({(s, l, a): rng.choice(REPEATED)
+                       for (s, l), actions in sorted(table.actions.items())
+                       for a in sorted(actions)}, {}, table.table_hash())
+    for n in (1, 3, 10, 50):
+        for tags in (False, True):
+            assert rank_rows(rank_nbest(forest, model, n, include_tag_likelihoods=tags)) == \
+                rank_rows(eager_rank_nbest(forest, model, n, include_tag_likelihoods=tags))
+
+
+def test_ten_best_builds_entries_where_the_pulls_reach(monkeypatch):
+    """On a^24 under the model trained from catalan_train.tb, the 10-best
+    gives at most 30% of the forest's inner nodes a best entry, where
+    building them all first gave every one of them one, and its rows equal
+    that eager ranking's."""
+    artifacts = compile_fixture("catalan.gr")
+    _, _, residues, table = artifacts
+    _, trained, _ = train_model_from_treebanks(
+        artifacts, [FIXTURES / "catalan_train.tb"], [1.0])
+    forest = parse(table, residues, ["a"] * 24).forest
+    inner = [node for node in forest.nodes.values() if hasattr(node, "bundles")]
+    built = set()
+    entry = model_module._entry
+
+    def counted(node, *args):
+        built.add(node)
+        return entry(node, *args)
+
+    monkeypatch.setattr(model_module, "_entry", counted)
+    ranked = rank_nbest(forest, trained, 10)
+    assert built <= set(inner)
+    assert len(built) <= 0.3 * len(inner)
+    assert rank_rows(ranked) == rank_rows(eager_rank_nbest(forest, trained, 10))
 
 
 @pytest.mark.parametrize("grammar", sorted(FOREST_CONSUMER_PINS))
