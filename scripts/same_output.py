@@ -16,8 +16,12 @@ unbound.gr, whose forest residues hold a variable, and those copies of the
 rank models) and the working tree's
 fixtures, so only the code differs.  A fixed list of default-format
 invocations runs in each
-tree: compile (of the malformed grammars too, so the reader's error
-messages are compared, and with -o for the fixture, chain and 200-rule
+tree: `punclr --help` and `punclr CMD --help` for each of the seven
+subcommands, and four usage errors (no subcommand, an unknown one, parse
+without its required --grammar, and rank --nbest 0), which pin every
+subcommand's parser byte for byte; compile (of the malformed grammars
+too, so the reader's error messages are compared, and with -o for the
+fixture, chain and 200-rule
 tables, so every action is compared: the printed table hash counts the
 actions without reading them), parse --dump-forest and stats (each also
 with --jobs 2, through the process pool), rank (--nbest 1 and 10,
@@ -69,6 +73,7 @@ CHAIN_LINKS = 750
 SCALE_RULES = 200
 CYCLIC = "%start X\nX -> Y ;\nY -> X ;\nX -> 'a' ;\n"
 DEEP_TOKENS = 2000
+SUBCOMMANDS = ("compile", "parse", "train", "rank", "eval", "stats", "ablate")
 # file stem -> text of a grammar that compile rejects
 MALFORMED = {
     "unknown-directive": "%begin S\nS -> 'a' ;\n",
@@ -143,9 +148,19 @@ def invocations(gen: Path) -> list:
     """(name, argv) pairs, in the order they run.  An argv may read what an
     earlier invocation wrote through ../NAME/FILE."""
     pc, rn, te = gen / "parse-corpus", gen / "rank-nbest", gen / "train-eval"
-    out = [("compile " + g, ["compile", FIX / (g + ".gr"), "-o", "table.txt"])
-           for g in ("agree", "agree_relaxed", "catalan", "commatext", "integrated",
-                     "tagseq")]
+    out = [("--help", ["--help"])]
+    out += [(cmd + " --help", [cmd, "--help"]) for cmd in SUBCOMMANDS]
+    out += [
+        ("usage error: no subcommand", []),
+        ("usage error: unknown subcommand", ["translate", FIX / "tagged_example.txt"]),
+        ("usage error: parse without --grammar", ["parse", FIX / "tagged_example.txt"]),
+        ("usage error: rank --nbest 0",
+         ["rank", "--grammar", FIX / "tagseq.gr", "--model", rn / "tagseq.model",
+          "--nbest", "0", rn / "tagseq.txt"]),
+    ]
+    out += [("compile " + g, ["compile", FIX / (g + ".gr"), "-o", "table.txt"])
+            for g in ("agree", "agree_relaxed", "catalan", "commatext", "integrated",
+                      "tagseq")]
     out.append(("compile %d-link unit chain" % CHAIN_LINKS,
                 ["compile", gen / "chain.gr", "-o", "table.txt"]))
     out.append(("compile %d-rule scale grammar" % SCALE_RULES,

@@ -13,6 +13,15 @@ and stats compute none.  A `python -m punclr.cli` process ends through
 run(), which flushes its output and calls os._exit: every file is closed by
 then, and CPython's finalization, which frees each object one by one, would
 cost several milliseconds per process and change nothing that is written.
+
+The backbone and table hashes take sha256 from CPython's own module, not
+from hashlib (grammar.sha256_prefix): importing hashlib loads OpenSSL's
+_hashlib, which cost every compile, train, rank and eval process 3.5-3.9 MB
+of its peak and about 3 ms, for two 16-digit digests.  main adds the
+arguments of the invoked subcommand only (build_arg_parser); the other six
+are listed with their help but get no arguments, which cuts a process's
+first parser build from 2.5 ms to 1.9-2.0 ms.  `punclr --help` prints the
+paragraphs above this one.
 """
 from __future__ import annotations
 
@@ -523,16 +532,19 @@ def _bounded(convert, ok, requirement):
     return parse
 
 
-def build_arg_parser():
-    top = _Parser(prog="punclr", description=__doc__)
+def build_arg_parser(command=None):
+    """The argument parser.  Every subcommand is listed with its help, but
+    only command's arguments are added, or every subcommand's when command
+    is None: main builds the one subcommand its command line names, and
+    perfbench/tracing.py builds them all."""
+    # --help prints the docstring's first three paragraphs; the fourth is for
+    # readers of this file
+    top = _Parser(prog="punclr", description="\n\n".join(__doc__.split("\n\n")[:3]))
     sub = top.add_subparsers(dest="command", required=True)
     count = _bounded(int, lambda v: v >= 1, "at least 1")
     seconds = _bounded(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
     certainty = _bounded(float, lambda v: 0 < v <= 1, "in (0, 1]")
     ratio = _bounded(float, lambda v: v >= 1, "at least 1")
-
-    def common_io(p):
-        p.add_argument("--format", choices=("human", "tsv"), default="human")
 
     def common_parse(p):
         p.add_argument("--grammar", required=True)
@@ -544,77 +556,82 @@ def build_arg_parser():
         p.add_argument("--plain", action="store_true",
                        help="input is word_LABEL tokens, likelihood 1.0")
 
-    p = sub.add_parser("compile", help="build and report the LALR table")
-    p.add_argument("grammar")
-    p.add_argument("-o", "--table-out")
-    common_io(p)
-    p.set_defaults(func=cmd_compile)
+    def compile_options(p):
+        p.add_argument("grammar")
+        p.add_argument("-o", "--table-out")
 
-    p = sub.add_parser("parse", help="parse tagged sentences, count analyses")
-    common_parse(p)
-    p.add_argument("input")
-    p.add_argument("--jobs", type=count, default=1)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--dump-forest", metavar="DIR")
-    common_io(p)
-    p.set_defaults(func=cmd_parse)
+    def parse_options(p):
+        common_parse(p)
+        p.add_argument("input")
+        p.add_argument("--jobs", type=count, default=1)
+        p.add_argument("--strict", action="store_true")
+        p.add_argument("--timing", action="store_true")
+        p.add_argument("--dump-forest", metavar="DIR")
 
-    p = sub.add_parser("train", help="train transition probabilities")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--treebank", action="append", required=True)
-    p.add_argument("--weight", action="append", type=float)
-    p.add_argument("--model-out", required=True)
-    p.add_argument("--counts-out")
-    p.add_argument("--subsample", help="fraction of trees, e.g. 1/64")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-histories", type=count, default=MAX_HISTORIES)
-    common_io(p)
-    p.set_defaults(func=cmd_train)
+    def train_options(p):
+        p.add_argument("--grammar", required=True)
+        p.add_argument("--treebank", action="append", required=True)
+        p.add_argument("--weight", action="append", type=float)
+        p.add_argument("--model-out", required=True)
+        p.add_argument("--counts-out")
+        p.add_argument("--subsample", help="fraction of trees, e.g. 1/64")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-histories", type=count, default=MAX_HISTORIES)
 
-    p = sub.add_parser("rank", help="emit the n most probable analyses")
-    common_parse(p)
-    p.add_argument("input")
-    p.add_argument("--model", required=True)
-    p.add_argument("--nbest", type=count, default=1)
-    p.add_argument("--tag-likelihoods", action="store_true",
-                   help="fold tag likelihoods into analysis scores")
-    p.add_argument("--strict", action="store_true")
-    common_io(p)
-    p.set_defaults(func=cmd_rank)
+    def rank_options(p):
+        common_parse(p)
+        p.add_argument("input")
+        p.add_argument("--model", required=True)
+        p.add_argument("--nbest", type=count, default=1)
+        p.add_argument("--tag-likelihoods", action="store_true",
+                       help="fold tag likelihoods into analysis scores")
+        p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("eval", help="GEIG bracket evaluation against gold trees")
-    p.add_argument("--grammar")
-    p.add_argument("--model")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--parsed", help="evaluate these trees instead of parsing")
-    p.add_argument("--timeout", type=seconds, default=30.0,
-                   help="per-sentence CPU budget in seconds, for parse and "
-                        "ranking together")
-    common_io(p)
-    p.set_defaults(func=cmd_eval)
+    def eval_options(p):
+        p.add_argument("--grammar")
+        p.add_argument("--model")
+        p.add_argument("--gold", required=True)
+        p.add_argument("--parsed", help="evaluate these trees instead of parsing")
+        p.add_argument("--timeout", type=seconds, default=30.0,
+                       help="per-sentence CPU budget in seconds, for parse and "
+                            "ranking together")
 
-    p = sub.add_parser("stats", help="coverage and ambiguity distribution")
-    common_parse(p)
-    p.add_argument("input")
-    p.add_argument("--jobs", type=count, default=1)
-    common_io(p)
-    p.set_defaults(func=cmd_stats)
+    def stats_options(p):
+        common_parse(p)
+        p.add_argument("input")
+        p.add_argument("--jobs", type=count, default=1)
 
-    p = sub.add_parser("ablate", help="accuracy vs training-set size")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--treebank", required=True)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--seeds", type=count, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    common_io(p)
-    p.set_defaults(func=cmd_ablate)
+    def ablate_options(p):
+        p.add_argument("--grammar", required=True)
+        p.add_argument("--treebank", required=True)
+        p.add_argument("--gold", required=True)
+        p.add_argument("--seeds", type=count, default=5)
+        p.add_argument("--seed", type=int, default=0)
 
+    for name, func, options, help in (
+        ("compile", cmd_compile, compile_options, "build and report the LALR table"),
+        ("parse", cmd_parse, parse_options, "parse tagged sentences, count analyses"),
+        ("train", cmd_train, train_options, "train transition probabilities"),
+        ("rank", cmd_rank, rank_options, "emit the n most probable analyses"),
+        ("eval", cmd_eval, eval_options, "GEIG bracket evaluation against gold trees"),
+        ("stats", cmd_stats, stats_options, "coverage and ambiguity distribution"),
+        ("ablate", cmd_ablate, ablate_options, "accuracy vs training-set size"),
+    ):
+        p = sub.add_parser(name, help=help)
+        if command in (None, name):
+            options(p)
+            p.add_argument("--format", choices=("human", "tsv"), default="human")
+            p.set_defaults(func=func)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # no top-level option takes a value, so the subcommand argparse runs, if
+    # it runs one, is the first argument that does not start with "-"
+    command = next((a for a in argv if not a.startswith("-")), "")
+    parser = build_arg_parser(command)
     # Forests, GSS nodes and ranking heaps hold no reference cycles, so
     # reference counting frees them all and the cyclic collector's passes
     # would only rescan live objects.  --jobs pool workers inherit this.

@@ -133,17 +133,32 @@ class CFBackbone(NamedTuple):
         return {p.lhs for p in self.productions}
 
     def content_hash(self) -> str:
-        # imported here: hashlib loads OpenSSL (about 2 ms and 3.7 MB), and
-        # only the commands that print or store a hash need it
-        import hashlib
-
         lines = ["punclr-backbone v1", "start " + self.start]
         lines += ["terminal " + t for t in sorted(self.terminals)]
         lines += [
             "prod %d %s -> %s" % (p.index, p.lhs, " ".join(p.rhs))
             for p in self.productions
         ]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        return sha256_prefix("\n".join(lines))
+
+
+def sha256_prefix(text: str) -> str:
+    """The first 16 hex digits of text's sha256: every backbone and table hash.
+
+    sha256 comes from CPython's own module (_sha2 from 3.12, _sha256 before),
+    as random.py takes its sha512 ("hashlib is pretty heavy to load"):
+    importing hashlib loads OpenSSL's _hashlib, about 3.5 MB and 3 ms of a
+    process, for two 16-digit digests.  hashlib serves only a build without
+    either module.  Imported at the call, so that parse and stats, which hash
+    nothing, load no hashing at all."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .grammar import END_MARKER, CFBackbone, GrammarError, Production, nullable_symbols
+from .grammar import (END_MARKER, CFBackbone, GrammarError, Production, nullable_symbols,
+                      sha256_prefix)
 
 SHIFT = "shift"
 REDUCE = "reduce"
@@ -81,7 +82,7 @@ class LalrTable:
             )
         self.rows = rows
         # both hashes are computed on first use, so that parse and stats,
-        # which print and check none, never load hashlib
+        # which print and check none, load no hashing (see sha256_prefix)
         self._backbone_hash = self._hash = ""
 
     @property
@@ -96,14 +97,12 @@ class LalrTable:
 
     def table_hash(self) -> str:
         if not self._hash:
-            import hashlib
-
             text = "punclr-lalr v1 %s states=%d actions=%d" % (
                 self.backbone_hash,
                 self.n_states,
                 self.action_count,
             )
-            self._hash = hashlib.sha256(text.encode()).hexdigest()[:16]
+            self._hash = sha256_prefix(text)
         return self._hash
 
 

@@ -758,5 +758,9 @@ def load_model(path) -> ProbModel:
         else:
             state, label, kind, arg, p = values
             probs[(state, label, Action(kind, arg))] = p
+    if not table_hash:
+        raise ModelError("model %s has no table record" % path)
+    if not probs and not unseen:
+        raise ModelError("model %s has no prob or unseen record" % path)
     return ProbModel(probs, unseen, table_hash)
 

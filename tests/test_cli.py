@@ -203,6 +203,27 @@ def test_model_table_mismatch_reported_alike(capsys, tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("command", ["rank", "eval"])
+@pytest.mark.parametrize("missing, problem", [
+    ("table", "has no table record"),
+    ("probabilities", "has no prob or unseen record"),
+])
+def test_model_without_table_or_probabilities_fails_on_one_line(capsys, tmp_path, command,
+                                                                missing, problem):
+    model = tmp_path / "catalan.model"
+    run(capsys, "train", "--grammar", FIXTURES / "catalan.gr",
+        "--treebank", FIXTURES / "catalan_train.tb", "--model-out", model)
+    header, table, *records = model.read_text().splitlines(keepends=True)
+    assert table.startswith("table ") and records
+    model.write_text(header + ("".join(records) if missing == "table" else table))
+    sent = tmp_path / "s.txt"
+    sent.write_text("a|a:1.0 a|a:1.0\n")
+    given = {"rank": [sent], "eval": ["--gold", FIXTURES / "catalan_test.tb"]}[command]
+    code, out, err = run(capsys, command, "--grammar", FIXTURES / "catalan.gr",
+                         "--model", model, *given)
+    assert (code, out, err) == (2, "", "error: model %s %s\n" % (model, problem))
+
+
 def test_stats_bucket_table(capsys, tmp_path):
     code, out, err = run(
         capsys, "stats", "--grammar", FIXTURES / "commatext.gr",
@@ -776,11 +797,11 @@ def test_out_of_range_option_is_usage_error(capsys, tmp_path, command, option, v
 
 def test_importing_the_cli_leaves_the_process_pool_out(tmp_path):
     """Importing the CLI loads no process pool; parse, stats and compile
-    load no model, evaluation or treebank code they do not run; parse and
-    stats, which compute no hash, leave OpenSSL's _hashlib out, and compile,
-    which prints one, loads it; and no command loads dataclasses or the
-    inspect module it imports.  The process runs under -S, so that site
-    imports none of these first."""
+    load no model, evaluation or treebank code they do not run; no command
+    loads hashlib or OpenSSL's _hashlib, not even compile, train, rank and
+    eval, which print or check a table hash; and no command loads
+    dataclasses or the inspect module it imports.  The process runs under
+    -S, so that site imports none of these first."""
     script = """
 import contextlib, io, sys
 from punclr import cli
@@ -791,16 +812,15 @@ def loaded(names):
 grammar, sentences, dump, treebank, gold, model = sys.argv[1:]
 pool = {"concurrent.futures", "multiprocessing"}
 unused = {"punclr.model", "punclr.trees", "fractions"}
-heavy = {"dataclasses", "inspect"}
-loaded(pool | heavy | {"_hashlib"})
+heavy = {"dataclasses", "inspect", "hashlib", "_hashlib"}
+loaded(pool | heavy)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["parse", "--grammar", grammar, "--dump-forest", dump, sentences]) == 0
-    loaded(pool | unused | heavy | {"punclr.evalmetrics", "_hashlib"})
+    loaded(pool | unused | heavy | {"punclr.evalmetrics"})
     assert cli.main(["stats", "--grammar", grammar, sentences]) == 0
-    loaded(pool | heavy | {"_hashlib"} | unused - {"punclr.trees"})
+    loaded(pool | heavy | unused - {"punclr.trees"})
     assert cli.main(["compile", grammar]) == 0
     loaded(pool | heavy | unused - {"punclr.trees"})
-    assert "_hashlib" in sys.modules
     assert cli.main(["train", "--grammar", grammar, "--treebank", treebank,
                      "--model-out", model]) == 0
     loaded(pool | heavy)

@@ -1,10 +1,10 @@
 """Fuzz gate: mutated input files reach a one-line error, never a traceback.
 
 Each case mutates a fixture file (a grammar, a tagged input in either
-format, or a model trained from a fixture treebank) by deleting spans,
-inserting syntax characters, duplicating spans and truncating, and runs the
-result through cli.main in process, under every command that reads that
-kind of file.
+format, a treebank, or a model trained from a fixture treebank) by deleting
+spans, inserting syntax characters, duplicating spans and truncating, and
+runs the result through cli.main in process, under every command that reads
+that kind of file.
 """
 import contextlib
 import io
@@ -30,6 +30,12 @@ MODEL_SYNTAX = st.one_of(
     st.text(" \n\0%.-e0123456789", min_size=1, max_size=3),
     st.sampled_from(["prob", "unseen", "table", "shift", "reduce", "accept", "nan", "inf",
                      "1e400", "0", "2", "-0.5"]),
+)
+# treebank brackets, separators and comment marks, and labels of the
+# catalan and tagseq grammars, one unknown to both
+TREEBANK_SYNTAX = st.one_of(
+    st.text("() \n\0#", min_size=1, max_size=3),
+    st.sampled_from(["a", "X", "S", "NP", "AT", "NN1", "VVZ", "ZZ", "(a)", "()"]),
 )
 # truncating leaves few rules, so it is drawn least
 EDITS = ("delete", "insert", "duplicate") * 3 + ("truncate",)
@@ -132,3 +138,39 @@ def test_mutated_model_ranks_or_fails_on_one_line(path, tagseq_model, data):
     text = tagseq_model.read_text(encoding="utf-8")
     path.write_text(data.draw(mutated([text], MODEL_SYNTAX)), encoding="utf-8")
     assert_ranks_or_fails_on_one_line(path, [], FIXTURES / "tagged_example.txt")
+
+
+# each fixture treebank, with the grammar it was written for
+TREEBANKS = {"catalan_train.tb": FIXTURES / "catalan.gr", "tagseq_gold.tb": TAGSEQ}
+
+
+@pytest.fixture(scope="module")
+def treebank_models(tmp_path_factory, tagseq_model):
+    """Each TREEBANKS grammar's model, as train writes it from its treebank."""
+    models = {"tagseq_gold.tb": tagseq_model}
+    model = tmp_path_factory.mktemp("model") / "catalan.model"
+    code, _, err = run_main(["train", "--grammar", str(TREEBANKS["catalan_train.tb"]),
+                             "--treebank", str(FIXTURES / "catalan_train.tb"),
+                             "--model-out", str(model)])
+    assert code == 0, err
+    models["catalan_train.tb"] = model
+    return models
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_treebank_trains_or_fails_on_one_line(path, treebank_models, data):
+    name = data.draw(st.sampled_from(sorted(TREEBANKS)))
+    gold = FIXTURES / name
+    path.write_text(data.draw(mutated([gold.read_text(encoding="utf-8")], TREEBANK_SYNTAX)),
+                    encoding="utf-8")
+    grammar = ["--grammar", str(TREEBANKS[name])]
+    for argv in (
+        ["train", *grammar, "--treebank", str(path),
+         "--model-out", str(path.with_suffix(".model"))],
+        ["eval", *grammar, "--model", str(treebank_models[name]), "--gold", str(path)],
+        ["eval", "--gold", str(gold), "--parsed", str(path)],
+        ["eval", "--gold", str(path), "--parsed", str(path)],
+    ):
+        code, _, err = run_main(argv)
+        assert_ok_or_one_error_line(code, err)

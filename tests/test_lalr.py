@@ -1,5 +1,10 @@
 import ast
+import hashlib
 import random
+import sys
+import types
+
+import pytest
 
 from conftest import FIXTURES, compile_fixture, unit_chain_grammar
 from punclr.grammar import (
@@ -10,6 +15,7 @@ from punclr.grammar import (
     nullable_symbols,
     parse_grammar_file,
 )
+from punclr import grammar as grammar_module, lalr as lalr_module
 from punclr.lalr import ACCEPT, REDUCE, SHIFT, _first_sets, build_lalr
 from oracles import (
     deriving_by_sweeps,
@@ -192,6 +198,45 @@ def test_construction_deterministic():
     assert t1.actions == t2.actions
     assert t1.gotos == t2.gotos
     assert t1.table_hash() == t2.table_hash()
+
+
+@pytest.mark.parametrize("path", ["builtin", "hashlib"])
+def test_table_hashes_equal_hashlib_sha256_on_every_fixture(path, monkeypatch):
+    """sha256_prefix, on each path it can take, gives hashlib's first 16 hex
+    digits of every fixture grammar's backbone and table text.  The builtin
+    path runs with hashlib blocked, so a fallback would fail; the hashlib
+    path runs with _sha2 and _sha256 blocked, and must call hashlib's sha256
+    for every text."""
+    reference = hashlib.sha256
+    fallback_calls = []
+    if path == "builtin":
+        monkeypatch.setitem(sys.modules, "hashlib", None)
+    else:
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+
+        def counting(data):
+            fallback_calls.append(data)
+            return reference(data)
+
+        monkeypatch.setitem(sys.modules, "hashlib", types.SimpleNamespace(sha256=counting))
+    texts = []
+    helper = grammar_module.sha256_prefix
+
+    def recording(text):
+        texts.append(text)
+        return helper(text)
+
+    monkeypatch.setattr(grammar_module, "sha256_prefix", recording)
+    monkeypatch.setattr(lalr_module, "sha256_prefix", recording)
+    names = sorted(p.name for p in FIXTURES.glob("*.gr"))
+    assert len(names) == 7
+    for name in names:
+        table = compile_fixture(name)[3]
+        digests = (table.backbone_hash, table.table_hash())
+        assert digests == tuple(reference(t.encode()).hexdigest()[:16] for t in texts[-2:])
+    assert len(texts) == 2 * len(names)
+    assert len(fallback_calls) == (len(texts) if path == "hashlib" else 0)
 
 
 def test_action_count_counts_all_actions():
